@@ -8,9 +8,14 @@ Two entry points:
 * :func:`sample_intervals` — a convenience wrapper producing a stationary
   interarrival sequence (used by the statistical tests that cross-validate
   the analytic moment/ACF formulas against Monte-Carlo estimates).
+
+Both go through :meth:`MapSampler.sample_one`, one jump at a time: an
+exponential holding time, then one uniform draw to pick the jump.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -43,9 +48,13 @@ class MapSampler:
             probs[h, :K] = m.D0[h] / r
             probs[h, h] = 0.0  # diagonal of D0 is the negative total rate
             probs[h, K:] = m.D1[h] / r
-        self._cum = np.cumsum(probs, axis=1)
+        cum = np.cumsum(probs, axis=1)
         # Guard against round-off: the last column must be exactly 1.
-        self._cum[:, -1] = 1.0
+        cum[:, -1] = 1.0
+        # Python lists for the per-jump path: bisect on a short list beats
+        # np.searchsorted on a numpy row, and the values are the same.
+        self._cum = cum.tolist()
+        self._scales = (1.0 / self.hold_rates).tolist()
         self.embedded_stationary = m.embedded_stationary
         self.phase_stationary = m.phase_stationary
 
@@ -65,13 +74,14 @@ class MapSampler:
         Returns ``(interval, phase_after_event)``.  Hidden D0 jumps are
         followed internally until a D1 jump fires.
         """
-        gen = as_rng(rng)
+        gen = rng if isinstance(rng, np.random.Generator) else as_rng(rng)
         K = self.order
+        scales, cum = self._scales, self._cum
         total = 0.0
         h = phase
         while True:
-            total += gen.exponential(1.0 / self.hold_rates[h])
-            j = int(np.searchsorted(self._cum[h], gen.random(), side="right"))
+            total += gen.exponential(scales[h])
+            j = bisect_right(cum[h], gen.random())
             if j >= K:  # D1 jump: event fires, next phase is j - K
                 return total, j - K
             h = j

@@ -20,11 +20,25 @@ busy server plus, for open chains, the single pending external-arrival
 event.  Statistics (busy-time/queue-length integrals, completion counts,
 per-visit response times) are accumulated lazily per station and reset once
 at the warmup boundary.
+
+The loop runs on Python-native state, because numpy scalars cost more per
+event than the work they carry: station counters and integrals are plain
+``int``/``float`` attributes, FCFS queues are ``deque`` objects, and the
+routing rows and MAP jump tables (about three entries each) are lists of
+cumulative probabilities searched with :func:`bisect.bisect_right`.  Arrays
+appear only in the returned :class:`SimResult`.  The loop is
+stream-identical to the array-based one it replaced: every event makes the
+same ``gen.exponential``/``gen.random`` calls in the same order, and IEEE
+double arithmetic gives the same bits on either representation, so a seeded
+run reproduces its earlier results exactly (``tests/sim/test_golden.py``).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,56 +142,70 @@ class SimResult:
 
 
 class _StationSim:
-    """Runtime state of one station."""
+    """Runtime state and post-warmup statistics of one station."""
 
     __slots__ = (
-        "kind",
         "servers",
         "sampler",
         "phase",
-        "rate",
+        "scale",
         "waiting",
         "in_service",
         "n",
         "n_open",
         "arrival_time",
+        "last_change",
+        "busy_int",
+        "qlen_int",
+        "qlen_open_int",
+        "completions",
+        "completions_open",
+        "resp",
     )
 
     def __init__(self, station, rng) -> None:
-        self.kind = station.kind
         self.servers = station.servers if station.kind == "multiserver" else (
-            np.inf if station.kind == "delay" else 1
+            math.inf if station.kind == "delay" else 1
         )
         self.n = 0
         self.n_open = 0
         self.in_service = 0
-        self.waiting: list[int] = []  # FCFS order of jobs not yet in service
+        self.waiting: deque[int] = deque()  # FCFS order of jobs not yet in service
         self.arrival_time: dict[int, float] = {}
         if station.kind == "queue":
             self.sampler = MapSampler(station.service)
             self.phase = self.sampler.initial_phase(rng)
-            self.rate = 0.0
+            self.scale = 0.0
         else:
             self.sampler = None
             self.phase = 0
-            self.rate = float(station.service.D1[0, 0])
+            self.scale = 1.0 / float(station.service.D1[0, 0])
+        self.reset_statistics(0.0)
+
+    def reset_statistics(self, now: float) -> None:
+        """Zero the integrals and counts; the warmup boundary calls this."""
+        self.last_change = now  # last time n changed
+        self.busy_int = 0.0
+        self.qlen_int = 0.0
+        self.qlen_open_int = 0.0
+        self.completions = 0
+        self.completions_open = 0
+        self.resp: list[float] = []
+        self.arrival_time.clear()
 
 
-def _routing_cum(P: np.ndarray, open_chain: bool) -> np.ndarray:
+def _routing_cum(P: np.ndarray, open_chain: bool) -> list[list[float]]:
     """Cumulative routing rows; open rows gain a terminal sink column.
 
     Closed rows are forced to end at 1 over the last *station* (guarding
     against float drift); open rows end at 1 over the appended sink column,
     so a uniform draw beyond the internal mass routes the job out.
     """
-    M = P.shape[0]
-    if not open_chain:
-        cum = np.cumsum(P, axis=1)
-        cum[:, -1] = 1.0
-        return cum
-    cum = np.cumsum(np.hstack([P, np.zeros((M, 1))]), axis=1)
+    if open_chain:
+        P = np.hstack([P, np.zeros((P.shape[0], 1))])
+    cum = np.cumsum(P, axis=1)
     cum[:, -1] = 1.0
-    return cum
+    return cum.tolist()
 
 
 def simulate(
@@ -227,7 +255,21 @@ def simulate(
     initial_phases:
         Optional per-station initial service phases (default: each MAP's
         embedded-stationary draw).
+
+    Raises
+    ------
+    ValueError
+        When ``warmup_events >= horizon_events`` without a
+        ``horizon_time``: statistics would never start.
+    RuntimeError
+        When the run ends before the warmup boundary (a ``horizon_time``
+        that arrives first) or with zero measured duration.
     """
+    if horizon_time is None and warmup_events >= horizon_events:
+        raise ValueError(
+            f"warmup_events ({warmup_events}) must be below horizon_events "
+            f"({horizon_events}): statistics start after the warmup"
+        )
     with obs.get_telemetry().span(
         "sim.run", kind=network.kind, horizon_events=int(horizon_events)
     ) as span:
@@ -265,6 +307,9 @@ def _simulate(
 ) -> SimResult:
     """Uninstrumented event-loop body of :func:`simulate`."""
     gen = as_rng(rng)
+    random = gen.random
+    exponential = gen.exponential
+    horizon_events = int(horizon_events)
     M = network.n_stations
     kind = network.kind
     N = network.population if kind != "open" else 0
@@ -305,6 +350,7 @@ def _simulate(
     if kind != "closed":
         entry_cum = np.cumsum(np.asarray(network.entry))
         entry_cum[-1] = 1.0
+        entry_cum = entry_cum.tolist()
         arrival_sampler = MapSampler(network.arrivals)
         arrival_phase = arrival_sampler.initial_phase(gen)
     next_open_job = N  # open jobs get fresh ids above the closed range
@@ -313,48 +359,38 @@ def _simulate(
     seq = 0
     now = 0.0
 
-    # --- statistics accumulators (reset at warmup) ---
+    # Statistics live on the stations and are reset at the warmup boundary.
     stat_t0 = 0.0
-    last_change = np.zeros(M)  # last time station k's n changed
-    busy_int = np.zeros(M)
-    qlen_int = np.zeros(M)
-    qlen_open_int = np.zeros(M)
-    completions = np.zeros(M, dtype=np.int64)
-    completions_open = np.zeros(M, dtype=np.int64)
     sink_departures = 0
     external_arrivals = 0
-    resp: list[list[float]] = [[] for _ in range(M)]
     collecting = warmup_events == 0
 
-    def _flush(k: int) -> None:
-        """Bring station k's integrals up to `now`."""
-        dt = now - last_change[k]
+    def _flush(st: _StationSim) -> None:
+        """Bring a station's integrals up to `now`."""
+        dt = now - st.last_change
         if dt > 0.0:
-            st = stations[k]
-            qlen_int[k] += st.n * dt
-            qlen_open_int[k] += st.n_open * dt
+            st.qlen_int += st.n * dt
+            st.qlen_open_int += st.n_open * dt
             if st.n >= 1:
-                busy_int[k] += dt
-        last_change[k] = now
+                st.busy_int += dt
+        st.last_change = now
 
-    def _start_service(k: int) -> None:
+    def _start_service(k: int, st: _StationSim) -> None:
         """Start jobs at station k while servers are free (FCFS)."""
         nonlocal seq
-        st = stations[k]
         while st.waiting and st.in_service < st.servers:
-            job = st.waiting.pop(0)
+            job = st.waiting.popleft()
             st.in_service += 1
             if st.sampler is not None:
-                interval, new_phase = st.sampler.sample_one(st.phase, gen)
-                st.phase = new_phase  # phase after this completion
+                interval, st.phase = st.sampler.sample_one(st.phase, gen)
             else:
-                interval = gen.exponential(1.0 / st.rate)
+                interval = exponential(st.scale)
             seq += 1
             heapq.heappush(calendar, (now + interval, seq, k, job))
 
     def _arrive(k: int, job: int) -> None:
         st = stations[k]
-        _flush(k)
+        _flush(st)
         st.n += 1
         if job >= N:
             st.n_open += 1
@@ -365,7 +401,7 @@ def _simulate(
                 tap.record(now)
             for tap in q_taps[k]:
                 tap.record(now, st.n)
-        _start_service(k)
+        _start_service(k, st)
 
     def _schedule_arrival() -> None:
         """Queue the next external-arrival event (open/mixed only)."""
@@ -395,50 +431,49 @@ def _simulate(
     total_completions = 0
     n_events = 0
     stopped_on_time = False
+    heappop = heapq.heappop
     while total_completions < horizon_events:
         if not calendar:
             raise RuntimeError("event calendar ran dry (no busy stations)")
         if horizon_time is not None and calendar[0][0] >= horizon_time:
             stopped_on_time = True
             break
-        now, _, j, job = heapq.heappop(calendar)
+        now, _, j, job = heappop(calendar)
         n_events += 1
 
         if j == _ARRIVAL:
             if collecting:
                 external_arrivals += 1
-            k = int(np.searchsorted(entry_cum, gen.random(), side="right"))
-            _arrive(k, next_open_job)
+            _arrive(bisect_right(entry_cum, random()), next_open_job)
             next_open_job += 1
             _schedule_arrival()
             continue
 
         st = stations[j]
-        _flush(j)
+        _flush(st)
         st.n -= 1
         if job >= N:
             st.n_open -= 1
         st.in_service -= 1
         total_completions += 1
         if collecting:
-            completions[j] += 1
+            st.completions += 1
             if job >= N:
-                completions_open[j] += 1
+                st.completions_open += 1
             t_arr = st.arrival_time.pop(job, None)
             if t_arr is not None:
-                resp[j].append(now - t_arr)
+                st.resp.append(now - t_arr)
             for tap in dep_taps[j]:
                 tap.record(now)
             for tap in q_taps[j]:
                 tap.record(now, st.n)
         else:
             st.arrival_time.pop(job, None)
-        _start_service(j)
+        if st.waiting:
+            _start_service(j, st)
 
         # Route the job by its class (closed ids are 0..N-1).
-        cum_row = (closed_cum if job < N else open_cum)[j]
-        u = gen.random()
-        k = int(np.searchsorted(cum_row, u, side="right"))
+        k = bisect_right((closed_cum if job < N else open_cum)[j], random())
         if k >= M:
             # Open-chain exit to the sink: the job leaves the system.
             if collecting:
@@ -450,36 +485,38 @@ def _simulate(
             # Warmup boundary: reset all statistics, keep the system state.
             collecting = True
             stat_t0 = now
-            last_change[:] = now
-            busy_int[:] = 0.0
-            qlen_int[:] = 0.0
-            qlen_open_int[:] = 0.0
-            completions[:] = 0
-            completions_open[:] = 0
             sink_departures = 0
             external_arrivals = 0
-            for k2 in range(M):
-                resp[k2].clear()
-                stations[k2].arrival_time.clear()
+            for st in stations:
+                st.reset_statistics(now)
             for tap in taps:
                 tap.reset()
             # Re-seed queue taps with the live occupancy: a reset path
             # that restarts at level `initial` would misreport every
             # station as empty until its next queue-length change.
-            for k2 in range(M):
+            for k2, st in enumerate(stations):
                 for tap in q_taps[k2]:
-                    tap.record(now, stations[k2].n)
+                    tap.record(now, st.n)
 
+    if not collecting:
+        raise RuntimeError(
+            "simulation horizon too short: warmup boundary never reached"
+        )
     # Final flush: integrate statistics up to the exact stop time (the
     # time horizon when it fired first, else the last processed event).
     if stopped_on_time:
         now = horizon_time
-    for k in range(M):
-        _flush(k)
+    for st in stations:
+        _flush(st)
     duration = now - stat_t0
     if duration <= 0.0:
         raise RuntimeError("simulation horizon too short: zero measured duration")
-    response_samples = [np.asarray(r) for r in resp]
+
+    def per_station(attr: str, dtype=float) -> np.ndarray:
+        return np.array([getattr(st, attr) for st in stations], dtype=dtype)
+
+    completions = per_station("completions", np.int64)
+    response_samples = [np.asarray(st.resp) for st in stations]
     response_mean = np.array(
         [float(r.mean()) if r.size else np.nan for r in response_samples]
     )
@@ -487,17 +524,19 @@ def _simulate(
         network=network,
         duration=duration,
         completions=completions,
-        utilization=busy_int / duration,
+        utilization=per_station("busy_int") / duration,
         throughput=completions / duration,
-        mean_queue_length=qlen_int / duration,
+        mean_queue_length=per_station("qlen_int") / duration,
         response_mean=response_mean,
         response_samples=response_samples,
         taps=taps,
         sink_departures=sink_departures,
         external_arrivals=external_arrivals,
         mean_queue_length_open=(
-            qlen_open_int / duration if kind != "closed" else None
+            per_station("qlen_open_int") / duration if kind != "closed" else None
         ),
-        completions_open=completions_open if kind != "closed" else None,
+        completions_open=(
+            per_station("completions_open", np.int64) if kind != "closed" else None
+        ),
         n_events=n_events,
     )

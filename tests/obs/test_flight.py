@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import MatrixRankWarning
 
 import repro.obs as obs
+from repro.markov.ctmc import steady_state_ctmc
 from repro.obs.core import FlightRecorder
 from repro.qbd.solver import solve_r_matrix
 from repro.utils.errors import SolverError
@@ -101,6 +103,25 @@ class TestDumpOnError:
         assert any(s["name"] == "qbd.r_matrix" for s in spans)
         (qbd,) = [s for s in spans if s["name"] == "qbd.r_matrix"]
         assert qbd["status"] == "error"
+
+    def test_failing_stationary_solve_yields_trace_dump(self, tmp_path):
+        """A post-solve check failure in the CTMC solve is traced too."""
+        obs.enable_flight_recorder(directory=tmp_path)
+        # Two closed classes: every pinned system is singular, so the
+        # solve cannot be normalized.
+        block = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        Q = np.kron(np.eye(2), block)
+        with pytest.warns(MatrixRankWarning), pytest.raises(SolverError) as excinfo:
+            steady_state_ctmc(Q, method="direct")
+        trace_path = getattr(excinfo.value, "trace_path", None)
+        assert trace_path is not None
+        records = [json.loads(line) for line in open(trace_path, encoding="utf-8")]
+        assert obs.validate_trace(records) == []
+        (span,) = [r for r in records if r["type"] == "span"]
+        assert span["name"] == "ctmc.steady_state"
+        assert span["status"] == "error"
+        assert span["attributes"]["pins"] == 2
+        assert span["attributes"]["n_states"] == 4
 
     def test_trace_path_attached_once_at_innermost_span(self, tmp_path):
         rec = obs.enable_flight_recorder(directory=tmp_path)

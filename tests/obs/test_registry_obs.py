@@ -161,7 +161,20 @@ class TestCountersAndSpans:
             snap.counters["transient.matvecs"]
         )
         (root,) = tele.roots
-        assert [c.name for c in root.children] == ["transient.grid"]
+        assert [c.name for c in root.children] == ["ctmc.steady_state", "transient.grid"]
+
+    def test_exact_span_shows_the_stationary_solve(self):
+        tele = obs.Telemetry()
+        with obs.use(tele):
+            res = SolverRegistry(cache=None).solve(bursty_tandem(), "exact")
+        (root,) = tele.roots
+        (ctmc_span,) = [c for c in root.children if c.name == "ctmc.steady_state"]
+        attrs = ctmc_span.attributes
+        assert attrs["n_states"] == res.extra["n_states"]
+        assert attrs["nnz"] > attrs["n_states"]
+        assert attrs["method"] == "direct"
+        assert attrs["pins"] == 1
+        assert 0.0 <= attrs["residual"] < 1e-12
 
     def test_lp_spans_nest_under_registry_solve(self):
         tele = obs.Telemetry()

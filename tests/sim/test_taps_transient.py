@@ -98,9 +98,9 @@ class TestEngineIntegration:
     def test_initial_populations_validated(self):
         net = tandem_model(6)
         with pytest.raises(ValueError):
-            simulate(net, horizon_events=10, initial_populations=[1, 2])
+            simulate(net, horizon_events=10, initial_populations=[1, 2], warmup_events=0)
         with pytest.raises(ValueError):
-            simulate(net, horizon_events=10, initial_populations=[7, -1])
+            simulate(net, horizon_events=10, initial_populations=[7, -1], warmup_events=0)
 
     def test_initial_phases_control_and_validation(self):
         net = tandem_model(3)  # q1 is a MAP(2)
@@ -108,9 +108,9 @@ class TestEngineIntegration:
                        initial_phases=[1, 0])
         assert res.completions.sum() == 2_000
         with pytest.raises(ValueError):
-            simulate(net, horizon_events=10, initial_phases=[2, 0])
+            simulate(net, horizon_events=10, initial_phases=[2, 0], warmup_events=0)
         with pytest.raises(ValueError):
-            simulate(net, horizon_events=10, initial_phases=[0])
+            simulate(net, horizon_events=10, initial_phases=[0], warmup_events=0)
 
     def test_warmup_resets_queue_taps(self):
         net = tandem_model(4)

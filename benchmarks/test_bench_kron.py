@@ -28,6 +28,7 @@ from repro import obs
 from repro.network.exact import expected_state_count
 from repro.network.kron import kronecker_generator
 from repro.network.statespace import NetworkStateSpace
+from repro.obs.sentinel import KRON_MEMORY_WIN_GATE
 from repro.runtime import SolverRegistry
 from repro.runtime.cache import ResultCache
 from repro.scenarios import get_scenario
@@ -37,12 +38,6 @@ from repro.scenarios import get_scenario
 _SHAPE = {"quick": (5, 6), "large": (6, 18)}
 
 DENSE_WALL = 2_000_000
-#: The operator's storage floor is the cached closed-form diagonal
-#: (~10 bytes/state incl. the digit table), so the win is capped by the
-#: per-state CSR fill: ~13x at the large ring shape (nnz/S ~ 10.4,
-#: ~129 CSR bytes/state).  The gates sit just under each shape's
-#: structural ceiling.
-MEMORY_WIN_GATE = {"quick": 4.0, "large": 10.0}
 TIMES = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0)
 
 #: CSR storage model: float64 data + int32 indices per entry, int32 indptr.
@@ -79,7 +74,7 @@ def test_operator_memory_win(network, operator, kron_perf_report):
         memory_win_factor=float(win),
     )
     # Deterministic gate: both sides are closed-form byte counts.
-    gate = MEMORY_WIN_GATE[bench_preset()]
+    gate = KRON_MEMORY_WIN_GATE[bench_preset()]
     assert win >= gate, (
         f"operator storage win {win:.1f}x < {gate}x "
         f"({operator.nbytes:,} operator bytes vs {csr_bytes:,} CSR bytes)"

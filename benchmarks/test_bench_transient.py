@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from bench_reporting import PRESETS, bench_preset
+from repro.obs.sentinel import TRANSIENT_REUSE_GATE
 from repro.runtime import SolverRegistry
 from repro.runtime.cache import ResultCache
 from repro.transient import transient_grid, transient_trajectories
@@ -27,7 +28,6 @@ from repro.workloads.tandem import tandem_model
 _POPULATION = {"quick": PRESETS["quick"][1], "large": PRESETS["large"][1]}
 
 GRID_POINTS = 50
-REUSE_GATE = 5.0
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +67,8 @@ def test_multi_time_point_reuse(network, transient_perf_report):
         n_segments=int(shared.n_segments),
     )
     # Deterministic gate: timing noise cannot flake this in CI.
-    assert matvec_speedup >= REUSE_GATE, (
-        f"multi-time-point reuse {matvec_speedup:.2f}x < {REUSE_GATE}x "
+    assert matvec_speedup >= TRANSIENT_REUSE_GATE, (
+        f"multi-time-point reuse {matvec_speedup:.2f}x < {TRANSIENT_REUSE_GATE}x "
         f"({shared.n_matvecs} shared vs {naive_matvecs} naive matvecs)"
     )
 

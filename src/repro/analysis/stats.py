@@ -5,9 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import stdtrit
 
 __all__ = ["BatchMeansResult", "batch_means", "confidence_interval", "relative_error"]
+
+
+def _t_quantile(confidence: float, df: int) -> float:
+    """Two-sided Student-t critical value.
+
+    ``scipy.special.stdtrit`` is the routine ``scipy.stats.t.ppf`` calls,
+    so the values are the same; importing ``scipy.stats`` would add most
+    of a second to every process that imports the simulator.
+    """
+    return float(stdtrit(df, 0.5 + confidence / 2.0))
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,7 @@ def batch_means(
     means = trimmed.reshape(n_batches, size).mean(axis=1)
     grand = float(means.mean())
     se = float(means.std(ddof=1) / np.sqrt(n_batches))
-    tcrit = float(_sps.t.ppf(0.5 + confidence / 2.0, df=n_batches - 1))
+    tcrit = _t_quantile(confidence, n_batches - 1)
     return BatchMeansResult(mean=grand, half_width=tcrit * se, n_batches=n_batches)
 
 
@@ -69,7 +79,7 @@ def confidence_interval(
         raise ValueError("need at least two replicates")
     mean = float(x.mean())
     se = float(x.std(ddof=1) / np.sqrt(n))
-    tcrit = float(_sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    tcrit = _t_quantile(confidence, n - 1)
     return mean, mean - tcrit * se, mean + tcrit * se
 
 

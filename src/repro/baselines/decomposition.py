@@ -16,20 +16,23 @@ classic near-complete-decomposability recipe:
 The recipe is exact in the limit of infinitely slow modulation and ignores
 the correlation between phase and queue-length processes otherwise — the
 failure mode the figure demonstrates.
+
+All configurations share the routing, the population and the station
+kinds, so they are solved together: one MVA recursion over a
+``(configurations x stations)`` demand array
+(:func:`repro.baselines.mva.mva_recursion`), with the aggregation summed
+in configuration order.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.mva import mva
-from repro.maps.builders import exponential
+from repro.baselines.mva import mva_recursion
 from repro.network.model import Network, require_closed
-from repro.network.stations import Station, queue
-from repro.utils.errors import SolverError
+from repro.utils.errors import NotSupportedError, SolverError
 
 __all__ = ["DecompositionResult", "decomposition"]
 
@@ -51,17 +54,9 @@ class DecompositionResult:
         return self.network.population / self.system_throughput
 
 
-def _conditional_station(st: Station, phase: int) -> Station:
-    """Exponential stand-in for ``st`` frozen in the given phase."""
-    rate = float(st.service.D1[phase].sum())
-    if rate <= _MIN_RATE:
-        raise SolverError(
-            f"station {st.name!r} has (near-)zero completion rate in phase "
-            f"{phase}; the conditional product-form network is undefined — a "
-            "known failure mode of decomposition-aggregation"
-        )
-    return Station(name=st.name, service=exponential(rate), kind=st.kind,
-                   servers=st.servers)
+def _ordered_sum(values: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 left to right (``cumsum``, not pairwise ``sum``)."""
+    return np.cumsum(values, axis=0)[-1]
 
 
 def decomposition(network: Network) -> DecompositionResult:
@@ -70,43 +65,58 @@ def decomposition(network: Network) -> DecompositionResult:
     Exact when every station is exponential (single phase configuration);
     an *approximation* otherwise, with error growing in population for
     autocorrelated service — reproduced by ``repro.experiments.fig4``.
+
+    The joint configurations run in ``itertools.product`` order (last
+    station fastest) and those of zero stationary weight are skipped.  A
+    station whose phase has (near-)zero completion rate raises
+    :class:`~repro.utils.errors.SolverError`, naming the first such
+    (station, phase) of the first configuration that has one; multiserver
+    stations raise :class:`~repro.utils.errors.NotSupportedError` unless
+    that configuration is the first one.  All configurations are solved in
+    one batched MVA recursion; the answers are bit-identical to solving
+    each conditional network on its own.
     """
     require_closed(network, "decomposition")
-    M = network.n_stations
-    phase_axes = [range(st.phases) for st in network.stations]
-    weights_per_station = [st.service.phase_stationary for st in network.stations]
-
-    X_sys = 0.0
-    X = np.zeros(M)
-    U = np.zeros(M)
-    Q = np.zeros(M)
-    total_weight = 0.0
-    for combo in itertools.product(*phase_axes):
-        weight = float(
-            np.prod([weights_per_station[k][combo[k]] for k in range(M)])
-        )
-        if weight <= 0.0:
-            continue
-        cond_net = Network(
-            [
-                _conditional_station(st, combo[k])
-                for k, st in enumerate(network.stations)
-            ],
-            network.routing,
-            network.population,
-        )
-        res = mva(cond_net)
-        X_sys += weight * res.system_throughput
-        X += weight * res.throughput
-        U += weight * np.nan_to_num(res.utilization, nan=0.0)
-        Q += weight * res.queue_length
-        total_weight += weight
-    if total_weight <= 0.0:
+    stations = network.stations
+    shape = tuple(st.phases for st in stations)
+    # Weight of a configuration: the product of the per-station phase
+    # probabilities, multiplied left to right as np.prod would.
+    weights = np.ones(1)
+    for st in stations:
+        weights = (weights[:, None] * st.service.phase_stationary[None, :]).ravel()
+    configs = np.stack(np.unravel_index(np.arange(weights.size), shape), axis=1)
+    keep = weights > 0.0
+    if not keep.any():
         raise SolverError("decomposition produced zero total weight")
+    weights, configs = weights[keep], configs[keep]
+    rates = np.stack(
+        [st.service.phase_event_rates[configs[:, k]] for k, st in enumerate(stations)],
+        axis=1,
+    )
+
+    silent = rates <= _MIN_RATE
+    if any(st.kind == "multiserver" for st in stations) and not silent[0].any():
+        raise NotSupportedError("multiserver stations are not supported by mva()")
+    if silent.any():
+        c = int(np.argmax(silent.any(axis=1)))
+        k = int(np.argmax(silent[c]))
+        raise SolverError(
+            f"station {stations[k].name!r} has (near-)zero completion rate in phase "
+            f"{int(configs[c, k])}; the conditional product-form network is undefined — a "
+            "known failure mode of decomposition-aggregation"
+        )
+
+    v = network.visit_ratios
+    demands = v * (1.0 / rates)
+    is_delay = np.array([st.kind == "delay" for st in stations])
+    X, Q = mva_recursion(demands, is_delay, network.population)
+    total_weight = _ordered_sum(weights)
+    w = weights[:, None]
     return DecompositionResult(
         network=network,
-        system_throughput=X_sys / total_weight,
-        throughput=X / total_weight,
-        utilization=U / total_weight,
-        queue_length=Q / total_weight,
+        system_throughput=_ordered_sum(weights * X) / total_weight,
+        throughput=_ordered_sum(w * (X[:, None] * v)) / total_weight,
+        utilization=_ordered_sum(w * np.where(is_delay, 0.0, X[:, None] * demands))
+        / total_weight,
+        queue_length=_ordered_sum(w * Q) / total_weight,
     )

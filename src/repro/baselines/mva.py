@@ -5,7 +5,8 @@ against: exact for exponential (product-form) networks, structurally unable
 to represent temporal dependence.  It provides (a) the "no-ACF model" of
 Figure 3, (b) an independent oracle for exponential networks in the test
 suite, and (c) the per-phase conditional solver inside the decomposition
-baseline.
+baseline: :func:`mva_recursion` runs the recursion for many demand vectors
+at once, and :func:`mva` is its one-configuration case.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from repro.network.model import Network, require_closed
 from repro.utils.errors import NotSupportedError, ValidationError
 
-__all__ = ["MvaResult", "mva"]
+__all__ = ["MvaResult", "mva", "mva_recursion"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,28 @@ class MvaResult:
         return self.network.population / self.system_throughput
 
 
+def mva_recursion(
+    demands: np.ndarray, is_delay: np.ndarray, population: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact MVA over populations ``1..N`` for ``C`` demand vectors at once.
+
+    ``demands`` is ``(C, M)``: row ``c`` holds the service demands of one
+    product-form network; all rows share the delay mask ``is_delay``
+    (``(M,)``) and the population.  Queue stations use the arrival-theorem
+    recursion, delay stations contribute constant residence time.  Returns
+    ``(X, Q)``: the ``(C,)`` throughputs (visit ratio 1 at station 0) and
+    the ``(C, M)`` mean queue lengths at ``population``.  Each row is
+    computed with exactly the floating-point operations of a one-row call.
+    """
+    Q = np.zeros(demands.shape)
+    X = np.zeros(demands.shape[0])
+    for n in range(1, population + 1):
+        R = np.where(is_delay, demands, demands * (1.0 + Q))
+        X = n / R.sum(axis=1)
+        Q = X[:, None] * R
+    return X, Q
+
+
 def mva(network: Network) -> MvaResult:
     """Exact MVA recursion over populations ``1..N``.
 
@@ -49,6 +72,7 @@ def mva(network: Network) -> MvaResult:
     use the arrival-theorem recursion; delay stations contribute constant
     residence time.  Multiserver stations are not supported (load-dependent
     MVA is out of scope for the baselines the paper compares against).
+    The recursion is :func:`mva_recursion` with one configuration.
     """
     require_closed(network, "mva")
     for st in network.stations:
@@ -60,19 +84,12 @@ def mva(network: Network) -> MvaResult:
             )
         if st.kind == "multiserver":
             raise NotSupportedError("multiserver stations are not supported by mva()")
-    M = network.n_stations
-    N = network.population
     v = network.visit_ratios
     means = np.array([s.mean_service_time for s in network.stations])
     demands = v * means
     is_delay = np.array([s.kind == "delay" for s in network.stations])
-
-    Q = np.zeros(M)
-    X = 0.0
-    for n in range(1, N + 1):
-        R = np.where(is_delay, demands, demands * (1.0 + Q))
-        X = n / R.sum()
-        Q = X * R
+    X, Q = mva_recursion(demands[None, :], is_delay, network.population)
+    X, Q = X[0], Q[0]
     return MvaResult(
         network=network,
         system_throughput=X,

@@ -86,6 +86,11 @@ class UniformizedOperator:
     ``P`` — exactly the reuse the multi-time-point engine in
     :mod:`repro.transient.engine` is built on.
 
+    ``P``'s transpose is kept as well (a CSC view sharing ``P``'s arrays),
+    so :meth:`step` is ``PT @ vec``: the same sparse kernel, and the same
+    floats, as ``vec @ P``, which would build that transpose again on every
+    call.
+
     Also accepts a matrix-free :class:`scipy.sparse.linalg.LinearOperator`
     exposing ``rmatvec`` and ``diagonal()`` (the Kronecker generator of
     :mod:`repro.markov.kronop`): ``q`` comes from the operator's closed-
@@ -118,6 +123,7 @@ class UniformizedOperator:
             q = float(np.abs(diag).max()) if Q.shape[0] else 0.0
             self.q = q * UNIFORMIZATION_MARGIN if q > 0.0 else 0.0
             self.P = None
+            self._PT = None
             return
         Qs = sp.csr_matrix(Q) if not sp.issparse(Q) else Q.tocsr()
         if Qs.shape[0] != Qs.shape[1]:
@@ -128,9 +134,11 @@ class UniformizedOperator:
         if q == 0.0:
             self.q = 0.0
             self.P = None
+            self._PT = None
         else:
             self.q = q * UNIFORMIZATION_MARGIN
             self.P = sp.eye(Qs.shape[0], format="csr") + Qs / self.q
+            self._PT = self.P.T
 
     @property
     def size(self) -> int:
@@ -148,7 +156,7 @@ class UniformizedOperator:
             if self.q == 0.0:
                 return vec
             return vec + self.Q.rmatvec(vec) / self.q
-        return vec if self.P is None else vec @ self.P
+        return vec if self._PT is None else self._PT @ vec
 
 
 def transient_distribution(

@@ -8,6 +8,14 @@ from one ``(pi0, t)`` call into a kernel over a whole time grid:
   the segment accumulates them under its own Poisson weights, so a
   50-point grid costs ``O(q t_max)`` sparse matvecs instead of
   ``O(q * sum_i t_i)``;
+* **windowed accumulation** — Poisson term ``k`` is added only to the
+  points where its weight exceeds ``floor = tol / (100 (max_terms + 1))``.
+  ``Poisson(k; q dt)`` is unimodal in ``dt``, so those points are one slice
+  of the ascending offsets and a term touches a few rows, not the whole
+  grid.  A point drops at most one weight ``<= floor`` per term, so at
+  most ``(max_terms + 1) * floor = tol / 100`` of its mass in total; the
+  accumulated weight, the convergence test, the truncation error and the
+  matvec count are those of the unwindowed sweep;
 * **checkpointed restarts** — when the largest offset in flight would need
   more than :data:`SEGMENT_TERM_BUDGET` series terms, the sweep restarts
   from the last completed grid point's distribution, bounding per-segment
@@ -19,7 +27,8 @@ from one ``(pi0, t)`` call into a kernel over a whole time grid:
 * **``expm_multiply`` fallback** — Krylov-based matrix exponentials for
   generators whose uniformization rate makes the Poisson series
   impractically long (stiff models), selected explicitly or on a
-  :class:`~repro.utils.errors.SeriesTruncationError` under ``method="auto"``.
+  :class:`~repro.utils.errors.SeriesTruncationError` under ``method="auto"``;
+  each run of equal grid steps is one interval call.
 """
 
 from __future__ import annotations
@@ -48,6 +57,10 @@ __all__ = ["SEGMENT_TERM_BUDGET", "TransientGrid", "transient_grid"]
 #: enough that the per-term weight updates (O(points-in-segment) each)
 #: never dominate the sparse matvecs.
 SEGMENT_TERM_BUDGET = 20_000
+
+#: Relative tolerance under which consecutive grid steps count as equal
+#: and share one interval ``expm_multiply`` call.
+_EQUAL_STEP_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,6 +144,8 @@ def _sweep_segment(
     matvecs = 0
     terms = 0
     max_terms = max_series_terms(float(qdt.max()))
+    # Window floor: each point drops at most tol / 100 of its mass.
+    floor = tol / (100.0 * (max_terms + 1))
     active = np.ones(n, dtype=bool)
     while active.any():
         if k > max_terms:
@@ -148,14 +163,20 @@ def _sweep_segment(
                     tol=tol,
                 )
             break
-        w = np.exp(log_w)
-        idx = np.nonzero(active)[0]
-        out[idx] += w[idx, None] * vec[None, :]
-        acc[idx] += w[idx]
+        w = np.where(active, np.exp(log_w), 0.0)
+        # Poisson(k; q dt) is unimodal in dt, so the points this term
+        # reaches form one slice of the ascending offsets.
+        hit = np.flatnonzero(w > floor)
+        if hit.size:
+            lo, hi = hit[0], hit[-1] + 1
+            out[lo:hi] += w[lo:hi, None] * vec[None, :]
+        acc += w
         terms += 1
         if accumulate:
             # Erlang tail identity: integral_0^dt Poisson(k; q s) ds
             # = P[Pois(q dt) > k] / q = (1 - acc_after_this_term) / q.
+            # Not windowed: this weight stays large below the mode.
+            idx = np.nonzero(active)[0]
             integ[idx] += (
                 np.clip(1.0 - acc[idx], 0.0, None)[:, None] * vec[None, :] / op.q
             )
@@ -226,19 +247,36 @@ def _grid_uniformization(
 def _grid_expm(
     Q: sp.csr_matrix, pi0: np.ndarray, times_sorted: np.ndarray
 ) -> np.ndarray:
-    """Sequential ``expm_multiply`` fallback (point distributions only)."""
+    """Sequential ``expm_multiply`` fallback (point distributions only).
+
+    Consecutive steps equal to within :data:`_EQUAL_STEP_RTOL` share one
+    interval call, so its norm estimation and parameter choice run once
+    per run of equal steps rather than once per point; a non-uniform grid
+    makes one such call per step.
+    """
     from scipy.sparse.linalg import expm_multiply
 
     QT = Q.T.tocsc()
-    dists = np.empty((len(times_sorted), len(pi0)))
+    n = len(times_sorted)
+    dists = np.empty((n, len(pi0)))
+    steps = np.diff(times_sorted, prepend=0.0)
     vec = pi0
-    prev = 0.0
-    for i, t in enumerate(times_sorted):
-        dt = t - prev
-        if dt > 0.0:
-            vec = expm_multiply(QT * dt, vec)
-        dists[i] = vec
-        prev = t
+    i = 0
+    while i < n:
+        step = steps[i]
+        j = i + 1
+        if step > 0.0:
+            while j < n and abs(steps[j] - step) <= _EQUAL_STEP_RTOL * step:
+                j += 1
+            span = times_sorted[j - 1] - (times_sorted[i - 1] if i else 0.0)
+            run = expm_multiply(
+                QT, vec, start=0.0, stop=span, num=j - i + 1, endpoint=True
+            )
+            dists[i:j] = run[1:]
+            vec = run[-1]
+        else:
+            dists[i] = vec
+        i = j
     # expm_multiply is not probability-aware: clip round-off and renormalize.
     np.clip(dists, 0.0, None, out=dists)
     dists /= dists.sum(axis=1, keepdims=True)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import aba_bounds, bjb_bounds, decomposition, mva
-from repro.maps import exponential, fit_map2, mmpp2
-from repro.network import ClosedNetwork, delay, queue, solve_exact
-from repro.utils.errors import NotSupportedError, ValidationError
+from repro.maps import MAP, erlang, exponential, fit_map2, mmpp2
+from repro.network import ClosedNetwork, Network, delay, multiserver, queue, solve_exact
+from repro.utils.errors import NotSupportedError, SolverError, ValidationError
 
 
 def exp_network(N: int = 6) -> ClosedNetwork:
@@ -194,3 +194,65 @@ class TestDecomposition:
         )
         d = decomposition(net)
         assert d.queue_length.sum() == pytest.approx(6.0, rel=1e-9)
+
+
+#: Erlang-2 with its phases swapped: phase 1 completes nothing, phase 0 does.
+_SILENT_PHASE_1 = MAP([[-1.0, 0.0], [1.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]])
+_RING2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+_RING3 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+class TestDecompositionErrors:
+    """Failure modes keep their type and name the same (station, phase)."""
+
+    def test_erlang_phase_without_completions(self):
+        net = Network(
+            [queue("erl", erlang(2, 1.0)), queue("b", exponential(1.0))], _RING2, 3
+        )
+        with pytest.raises(SolverError, match=r"station 'erl' .* in phase 0;"):
+            decomposition(net)
+
+    def test_first_configuration_then_first_station_is_named(self):
+        # Configurations run in itertools.product order: (x0, y0) comes
+        # first, and there only y is silent.  x's silent phase 1 must not
+        # be reported although x has the lower station index.
+        net = Network(
+            [
+                queue("x", _SILENT_PHASE_1),
+                queue("y", erlang(2, 1.0)),
+                queue("z", exponential(2.0)),
+            ],
+            _RING3,
+            3,
+        )
+        with pytest.raises(SolverError, match=r"station 'y' .* in phase 0;"):
+            decomposition(net)
+
+    def test_multiserver_not_supported(self):
+        net = Network(
+            [multiserver("m", exponential(1.0), 2), queue("b", exponential(1.0))],
+            _RING2,
+            3,
+        )
+        with pytest.raises(NotSupportedError):
+            decomposition(net)
+
+    def test_multiserver_reported_before_a_later_silent_phase(self):
+        # The first configuration is well defined, so the multiserver
+        # station is what stops the solve; x's silent phase 1 comes later.
+        net = Network(
+            [queue("x", _SILENT_PHASE_1), multiserver("m", exponential(1.0), 2)],
+            _RING2,
+            3,
+        )
+        with pytest.raises(NotSupportedError):
+            decomposition(net)
+
+    def test_silent_phase_reported_before_multiserver(self):
+        net = Network(
+            [queue("erl", erlang(2, 1.0)), multiserver("m", exponential(1.0), 2)],
+            _RING2,
+            3,
+        )
+        with pytest.raises(SolverError, match=r"station 'erl' .* in phase 0;"):
+            decomposition(net)

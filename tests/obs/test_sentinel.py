@@ -151,6 +151,20 @@ class TestBaselineGates:
         assert not report.ok
         assert "kron_registry_solves" in report.regressions[0]
 
+    def test_kron_memory_win_gate_follows_preset(self, tmp_path):
+        entries = [
+            {"case": "kron_memory_win", "memory_win_factor": 9.0},
+            {"case": "kron_registry_solves", "backend": "operator"},
+        ]
+        quick = write(
+            tmp_path / "BENCH_kron.quick.json", artifact("kron", "quick", entries)
+        )
+        assert check_baseline_gates(quick).ok  # 9x clears the quick gate
+        large = write(tmp_path / "BENCH_kron.json", artifact("kron", "large", entries))
+        report = check_baseline_gates(large)
+        assert not report.ok
+        assert "memory win 9.0 < 10.0" in report.regressions[0]
+
     def test_fluid_wall_clock_gate_is_large_only(self, tmp_path):
         entries = [
             {"case": "fluid_million", "states_enumerated": False,

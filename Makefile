@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint docs docs-serve bench bench-large bench-transient bench-fluid bench-fluid-large bench-kron bench-kron-large smoke-open smoke-transient smoke-obs smoke-obs-history smoke-kron smoke-lp smoke-fluid clean
+.PHONY: test lint docs docs-serve bench bench-large bench-transient bench-fluid bench-fluid-large bench-kron bench-kron-large smoke-open smoke-transient smoke-obs smoke-obs-history smoke-kron smoke-fluid clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -26,7 +26,9 @@ bench:
 	REPRO_BENCH_PRESET=quick $(PYTHON) -m pytest benchmarks/test_bench_lp_scaling.py -q
 
 # Full-fidelity preset (the paper's 10 MAP(2) queues at N = 50); enforces
-# the >= 5x assembly speedup and regenerates the tracked perf baseline.
+# the large-preset LP gates of repro.obs.sentinel (persistent sweep,
+# assembly speedup, instrumentation overhead) and regenerates the tracked
+# perf baseline.
 bench-large:
 	REPRO_BENCH_PRESET=large $(PYTHON) -m pytest benchmarks/test_bench_lp_scaling.py -q
 
@@ -99,14 +101,6 @@ smoke-obs-history:
 # several minutes (two 2.1M-unknown Krylov solves on one core).
 smoke-kron:
 	$(PYTHON) benchmarks/smoke_kron.py
-
-# End-to-end smoke of the persistent LP backend: M = 3 population sweep
-# solved on the persistent HiGHS backend vs the stateless scipy baseline
-# (agreement <= 1e-9), cross-N basis-lineage warm starts with a gated
-# iteration-count win, and byte-identical disk replay under the other
-# backend label (backend-invariant fingerprint).
-smoke-lp:
-	$(PYTHON) benchmarks/smoke_lp.py
 
 # End-to-end smoke of the fluid tier: million-user steady solve with a
 # disk-cache replay, N = 1 exactness vs the CTMC solver (<= 1e-3),

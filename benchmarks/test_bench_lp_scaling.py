@@ -12,8 +12,9 @@ Results are recorded into ``BENCH_lp_scaling.json`` through the
 ``perf_report`` fixture — the machine-readable perf baseline of the LP
 kernel.  Presets (``REPRO_BENCH_PRESET``): ``quick`` (10 queues, N = 25;
 the CI default, no timing assertions beyond generous sanity caps) and
-``large`` (the paper's 10 queues at N = 50, which must show the >= 5x
-assembly speedup).
+``large`` (the paper's 10 queues at N = 50).  The large preset's timing
+floors are defined once in :mod:`repro.obs.sentinel`, which also gates the
+committed artifact.
 """
 
 import time
@@ -27,8 +28,13 @@ from repro.core import (
     build_constraints_reference,
     canonical_form,
 )
-from repro.core.lpbackend import get_lp_lineage_store, highs_available
+from repro.core.lpbackend import highs_available
 from repro.experiments import scaling
+from repro.obs.sentinel import (
+    ASSEMBLY_SPEEDUP_GATE,
+    INSTRUMENTATION_OVERHEAD_GATE,
+    LP_PERSISTENT_SWEEP_GATE,
+)
 from repro.runtime.batch import BatchLPSolver
 
 from bench_reporting import PRESETS, bench_preset
@@ -74,28 +80,26 @@ def test_lp_scaling(once, perf_report):
 
 
 #: Populations of the persistent-vs-stateless M = 10 sweep per preset.
-#: "large" is the solve-dominated regime the tentpole targets: the seed's
-#: stateless dual-simplex path spends ~2 minutes here, the persistent
-#: backend ~20 s (interior point, model built once per constraint system).
+#: "large" is the solve-dominated regime: the seed's stateless
+#: dual-simplex path spends ~2.5 minutes here, the persistent engine at
+#: the auto method (interior point) ~20 s.
 PERSISTENT_SWEEP_NS = {"quick": (2, 3), "large": (4, 6, 8, 10)}
-
-#: M = 3 populations for the cross-N warm-start evidence: small enough to
-#: sit in the dual-simplex regime (< _IPM_THRESHOLD variables), where the
-#: mapped lineage basis is what cuts iterations 4-7x between sweep points.
-WARM_SWEEP_NS = (8, 9, 10)
 
 
 def test_lp_persistent_speedup(perf_report):
-    """Persistent warm-started backend vs the seed's stateless solve path.
+    """Persistent engine at the auto method vs the seed's stateless path.
 
     Cold baseline = the seed behaviour: a fresh stateless scipy
     ``linprog`` dual-simplex solve per bound (the seed's auto threshold
     kept every catalog instance on simplex).  Warm = one
-    ``BatchLPSolver`` per sweep point on the persistent HiGHS backend
-    with auto method selection and the cross-N basis lineage.  Both
-    paths share a hot assembly cache so the comparison isolates solve
-    cost.  Values must agree to 1e-9 at every point; the large preset
-    additionally gates the tentpole's >= 3x sweep speedup.
+    ``BatchLPSolver`` per sweep point on the persistent HiGHS engine with
+    auto method selection, which is interior point at this size.  This
+    is a cross-method comparison: most of the speedup comes from the
+    ``_IPM_THRESHOLD`` retune, not from persistence (the same-method A/B
+    is in docs/performance.md).  Both paths share a hot assembly cache
+    so the comparison isolates solve cost.  Values must agree to 1e-7 at
+    every point; the large preset additionally enforces the sweep
+    speedup floor ``LP_PERSISTENT_SWEEP_GATE``.
     """
     if not highs_available():
         pytest.skip("no HiGHS binding importable; persistent backend absent")
@@ -109,7 +113,6 @@ def test_lp_persistent_speedup(perf_report):
         cache.plan_for(net, triples=False, include_redundant=False)
 
     def sweep(backend: str, method: str):
-        get_lp_lineage_store().clear()
         out = {}
         for N in ns:
             t0 = time.perf_counter()
@@ -126,7 +129,7 @@ def test_lp_persistent_speedup(perf_report):
 
     # Seed path: stateless scipy linprog, dual simplex at every size.
     cold = sweep("scipy", "highs")
-    # Tentpole path: persistent model, auto method, basis lineage.
+    # Persistent model, auto method (interior point at M = 10).
     warm = sweep("highs", "auto")
 
     t_cold = t_warm = 0.0
@@ -135,8 +138,8 @@ def test_lp_persistent_speedup(perf_report):
         tw, sw, bw = warm[N]
         # Cross-METHOD comparison (cold dual simplex vs auto = interior
         # point at this size), so the bar is IPM termination tolerance,
-        # not the 1e-9 same-regime warm-vs-cold contract (which
-        # test_lp_warm_start_iterations and smoke_lp.py enforce).
+        # not the 1e-9 same-method contract of the two engines (which
+        # tests/runtime/test_lp_persistent.py enforces).
         # Measured worst gap on this sweep: 2.4e-8 at N = 8.
         gap = max(abs(bc.lower - bw.lower), abs(bc.upper - bw.upper))
         assert gap <= 1e-7, (N, bc, bw)
@@ -155,7 +158,6 @@ def test_lp_persistent_speedup(perf_report):
             warm_method=sw.method,
             cold_iterations=sc.n_iterations,
             warm_iterations=sw.n_iterations,
-            warm_starts=sw.n_warm_starts,
             basis_reuse=sw.n_basis_reuse,
         )
 
@@ -170,73 +172,10 @@ def test_lp_persistent_speedup(perf_report):
         sweep_speedup=speedup,
     )
     if preset == "large":
-        # The tentpole acceptance bar (measured ~6x; margin for variance).
-        assert speedup >= 3.0, f"persistent sweep speedup {speedup:.1f}x < 3x"
-
-
-def test_lp_warm_start_iterations(perf_report):
-    """Cross-N basis lineage: warm sweep iterations vs cold, M = 3.
-
-    The M = 10 tentpole case lands in the interior-point regime where
-    lineage is (correctly) bypassed, so the warm-start evidence lives
-    here: an M = 3 sweep in the dual-simplex regime, run once with the
-    lineage store cleared per point (cold) and once continuously (warm).
-    The mapped alien basis must cut total simplex iterations while the
-    bound values stay within 1e-9.
-    """
-    if not highs_available():
-        pytest.skip("no HiGHS binding importable; persistent backend absent")
-    preset = bench_preset()
-    M = 3
-    specs = ("throughput[0]",)
-    cache = AssemblyCache()
-
-    def sweep(warm_start: bool):
-        out = {}
-        for N in WARM_SWEEP_NS:
-            if not warm_start:
-                get_lp_lineage_store().clear()
-            solver = BatchLPSolver(
-                scaling.ring_of_maps(M, N),
-                triples=False,
-                backend="highs",
-                warm_start=warm_start,
-                assembly_cache=cache,
-            )
-            bounds = solver.bound_specs(specs)
-            out[N] = (solver, bounds[specs[0]])
-        return out
-
-    get_lp_lineage_store().clear()
-    cold = sweep(warm_start=False)
-    get_lp_lineage_store().clear()
-    warm = sweep(warm_start=True)
-
-    iters_cold = sum(s.n_iterations for s, _ in cold.values())
-    iters_warm = sum(s.n_iterations for s, _ in warm.values())
-    warm_starts = sum(s.n_warm_starts for s, _ in warm.values())
-    for N in WARM_SWEEP_NS:
-        bc, bw = cold[N][1], warm[N][1]
-        assert abs(bc.lower - bw.lower) <= 1e-9, (N, bc, bw)
-        assert abs(bc.upper - bw.upper) <= 1e-9, (N, bc, bw)
-        assert cold[N][0].method == "highs"  # simplex regime, by design
-
-    perf_report.record(
-        "lp_warm_iterations",
-        preset=preset,
-        M=M,
-        n_points=len(WARM_SWEEP_NS),
-        iterations_cold=iters_cold,
-        iterations_warm=iters_warm,
-        warm_starts=warm_starts,
-        iteration_ratio=iters_cold / max(iters_warm, 1),
-    )
-
-    # Every point past the first must have warm-started from lineage, and
-    # the mapped basis must genuinely reduce simplex work (measured 2-4x
-    # across the sweep; > 1.2x admits noise without admitting regressions).
-    assert warm_starts >= len(WARM_SWEEP_NS) - 1
-    assert iters_cold > 1.2 * iters_warm, (iters_cold, iters_warm)
+        # measured ~7x; the floor leaves margin for machine variance
+        assert speedup >= LP_PERSISTENT_SWEEP_GATE, (
+            f"persistent sweep speedup {speedup:.1f}x < {LP_PERSISTENT_SWEEP_GATE}x"
+        )
 
 
 def test_assembly_speedup(perf_report):
@@ -245,7 +184,7 @@ def test_assembly_speedup(perf_report):
     Quick preset: record the numbers, assert only correctness (canonical
     polytope equality) — CI never fails on timing noise.  Large preset
     (the paper's 10 MAP(2) queues at N = 50): additionally enforce the
-    >= 5x assembly speedup this kernel exists for.
+    ``ASSEMBLY_SPEEDUP_GATE`` speedup this kernel exists for.
     """
     preset = bench_preset()
     M, N = PRESETS[preset]
@@ -299,9 +238,11 @@ def test_assembly_speedup(perf_report):
     )
 
     if preset == "large":
-        # The acceptance bar of the kernel rewrite (measured ~10x; the
+        # The acceptance bar of the kernel rewrite (measured 7-10x; the
         # margin absorbs machine variance without admitting regressions).
-        assert speedup >= 5.0, f"assembly speedup {speedup:.1f}x < 5x"
+        assert speedup >= ASSEMBLY_SPEEDUP_GATE, (
+            f"assembly speedup {speedup:.1f}x < {ASSEMBLY_SPEEDUP_GATE}x"
+        )
 
 
 def test_instrumentation_overhead(perf_report):
@@ -309,10 +250,14 @@ def test_instrumentation_overhead(perf_report):
 
     The ``repro.obs`` contract is that instrumentation is cheap enough
     to leave on: spans and counters on the registry/LP path must cost
-    <= 5% wall clock on the M = 3, N = 50 ``lp_scaling`` entry (the
-    same workload: one throughput bound pair, pair tier).  The quick
-    preset shrinks to N = 25 and only applies a generous noise cap —
-    short runs on shared CI machines cannot resolve single percents.
+    at most ``INSTRUMENTATION_OVERHEAD_GATE`` (5%) wall clock on the
+    M = 3, N = 50 ``lp_scaling`` entry (the same workload: one
+    throughput bound pair, pair tier).  The overhead is the median, over
+    7 alternating disabled/enabled pairs, of each pair's relative
+    difference: drift hits both modes equally and one noisy run cannot
+    set the figure.  The quick preset shrinks to N = 25 and 3 pairs and
+    only applies a generous noise cap — short runs on shared CI machines
+    cannot resolve single percents.
 
     The enabled leg runs with a :class:`~repro.obs.FlightRecorder`
     attached — the always-on dump-on-error configuration — so the gate
@@ -320,15 +265,16 @@ def test_instrumentation_overhead(perf_report):
 
     The enabled/disabled comparison itself needs an external stopwatch
     (disabled runs produce no snapshot, and the probe must be identical
-    on both sides); the per-span breakdown of the winning enabled run is
-    sourced from its telemetry snapshot via ``record_snapshot``.
+    on both sides); the per-span breakdown of the median pair's enabled
+    run is sourced from its telemetry snapshot via ``record_snapshot``.
     """
     import repro.obs as obs
     from repro.runtime import SolverRegistry
 
     preset = bench_preset()
-    M, N = (3, 50) if preset == "large" else (3, 25)
-    runs = 3
+    large = preset == "large"
+    M, N = (3, 50) if large else (3, 25)
+    pairs = 7 if large else 3
     net = scaling.ring_of_maps(M, N)
     registry = SolverRegistry(cache=None)
     solve = lambda: registry.solve(  # noqa: E731 - the benched closure
@@ -336,39 +282,39 @@ def test_instrumentation_overhead(perf_report):
     )
     solve()  # warm the assembly-plan cache; both modes then see it hot
 
-    t_disabled = t_enabled = float("inf")
-    best_snapshot = None
-    for _ in range(runs):  # alternate modes so drift hits both equally
+    runs = []  # (overhead, t_disabled, t_enabled, enabled snapshot)
+    for _ in range(pairs):  # alternate modes so drift hits both equally
         t0 = time.perf_counter()
         solve()
-        t_disabled = min(t_disabled, time.perf_counter() - t0)
+        t_disabled = time.perf_counter() - t0
 
         tele = obs.Telemetry(recorder=obs.FlightRecorder())
         with obs.use(tele):
             t0 = time.perf_counter()
             solve()
-            t = time.perf_counter() - t0
-        if t < t_enabled:
-            t_enabled, best_snapshot = t, tele.snapshot()
-
-    overhead = (t_enabled - t_disabled) / t_disabled
+            t_enabled = time.perf_counter() - t0
+        overhead = (t_enabled - t_disabled) / t_disabled
+        runs.append((overhead, t_disabled, t_enabled, tele.snapshot()))
+    runs.sort(key=lambda run: run[0])
+    overhead, t_disabled, t_enabled, snapshot = runs[len(runs) // 2]
     perf_report.record_snapshot(
         "instrumentation_overhead",
-        best_snapshot,
+        snapshot,
         spans=("registry.solve", "lp.solve"),
         counters=("lp.solves", "lp.iterations"),
         preset=preset,
         M=M,
         N=N,
+        n_pairs=pairs,
         t_disabled_s=t_disabled,
         t_enabled_s=t_enabled,
         overhead_frac=overhead,
     )
 
     # Sanity on the snapshot itself: it really observed this workload.
-    assert best_snapshot.counters["lp.solves"] == 2  # one bound pair
+    assert snapshot.counters["lp.solves"] == 2  # one bound pair
 
-    cap = 0.05 if preset == "large" else 0.25
+    cap = INSTRUMENTATION_OVERHEAD_GATE if large else 0.25
     assert overhead <= cap, (
         f"instrumentation overhead {overhead:.1%} > {cap:.0%} "
         f"(enabled {t_enabled:.3f}s vs disabled {t_disabled:.3f}s)"

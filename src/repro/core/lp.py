@@ -1,14 +1,13 @@
 """LP front end: min/max of a linear metric over the marginal polytope.
 
 The paper reports interior-point solve times (10 MAP(2) queues, N = 50,
-about four minutes in 2008); we solve the same programs through HiGHS —
-either the persistent warm-started backend of
-:mod:`repro.core.lpbackend` (the default whenever a HiGHS binding is
-importable) or the stateless ``scipy.optimize.linprog`` fallback.  The
-``benchmarks/test_bench_lp_scaling.py`` harness reproduces the
-scalability claim of Section 2.
+about four minutes in 2008); we solve the same programs through HiGHS, on
+the engine :func:`repro.core.lpbackend.make_lp_engine` picks: the
+persistent HiGHS model whenever scipy's binding imports, else stateless
+``scipy.optimize.linprog``.  The ``benchmarks/test_bench_lp_scaling.py``
+harness reproduces the scalability claim of Section 2.
 
-Backend choice is provenance, not identity: both paths answer with the
+Backend choice is provenance, not identity: both engines answer with the
 same optima to LP tolerance, so cached results never fork on it (see
 :mod:`repro.runtime.registry`).
 """
@@ -18,20 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from repro import obs
 from repro.core.constraints import ConstraintSystem
 from repro.core.lpbackend import (
     _IPM_THRESHOLD,  # noqa: F401  (re-exported; the single tuned definition)
-    PersistentLP,
     choose_lp_method,
-    resolve_backend,
+    make_lp_engine,
 )
 from repro.core.objectives import LinearMetric
-from repro.utils.errors import SolverError
 
-__all__ = ["LPSolution", "choose_lp_method", "optimize_metric", "solve_lp_core"]
+__all__ = ["LPSolution", "choose_lp_method", "optimize_metric"]
 
 
 @dataclass(frozen=True)
@@ -46,56 +41,6 @@ class LPSolution:
     #: HiGHS algorithm that actually produced the optimum — the requested
     #: method, or the retry-ladder step that succeeded.
     method_used: str = ""
-
-
-def solve_lp_core(
-    c: np.ndarray,
-    system: ConstraintSystem,
-    method: str,
-    bounds: np.ndarray | None = None,
-):
-    """One robust ``linprog`` call: min of ``c @ x`` over ``system``.
-
-    HiGHS occasionally reports spurious infeasibility on the ill-conditioned
-    instances this polytope produces (high-SCV MAP(2) moments put 4+ orders
-    of magnitude between coefficients).  The exact constraints are feasible
-    by construction, so on failure we walk a retry ladder — the alternate
-    HiGHS algorithm, then simplex with presolve disabled — before giving up.
-
-    ``bounds`` is the ``(n, 2)`` stacked variable-bound array; passing it in
-    lets batched callers build it once per system instead of per solve.
-
-    Returns ``(res, method_used)``: the scipy ``OptimizeResult`` untouched,
-    plus the name of the HiGHS algorithm that actually produced it (the
-    requested ``method``, or the retry-ladder step that succeeded).
-    """
-    if bounds is None:
-        bounds = np.column_stack([system.lb, system.ub])
-
-    def _solve(meth: str, options=None):
-        return linprog(
-            c,
-            A_eq=system.A_eq if system.n_equalities else None,
-            b_eq=system.b_eq if system.n_equalities else None,
-            A_ub=system.A_ub if system.n_inequalities else None,
-            b_ub=system.b_ub if system.n_inequalities else None,
-            bounds=bounds,
-            method=meth,
-            options=options,
-        )
-
-    res = _solve(method)
-    method_used = method
-    if not res.success:
-        tele = obs.get_telemetry()
-        alternate = "highs" if method == "highs-ipm" else "highs-ipm"
-        for meth, options in ((alternate, None), ("highs", {"presolve": False})):
-            tele.counter("lp.retry_step")
-            res = _solve(meth, options)
-            method_used = meth
-            if res.success:
-                break
-    return res, method_used
 
 
 def optimize_metric(
@@ -116,17 +61,20 @@ def optimize_metric(
     sense:
         ``"min"`` or ``"max"``.
     method:
-        HiGHS algorithm.  ``"auto"`` follows
+        HiGHS algorithm: ``"highs"`` (dual simplex), ``"highs-ipm"``
+        (interior point) or ``"auto"``, which follows
         :func:`~repro.core.lpbackend.choose_lp_method`: dual simplex for
         small systems, interior point past ``_IPM_THRESHOLD`` variables
         (mirroring the paper's interior-point choice for its large
-        instances).
+        instances).  Any other method raises ``ValueError``.
     backend:
-        ``"auto"`` (persistent HiGHS when a binding is importable, scipy
-        otherwise), ``"highs"``, or ``"scipy"``.  Batched callers should
-        use :class:`repro.runtime.batch.BatchLPSolver`, which keeps the
-        persistent model alive across solves; this one-shot API builds
-        and discards it.
+        ``"auto"`` (persistent HiGHS when scipy's binding imports, stateless
+        scipy otherwise), ``"highs"``, or ``"scipy"``; see
+        :func:`~repro.core.lpbackend.make_lp_engine`.  Every call builds a
+        fresh engine and solves once.  Batched callers should use
+        :class:`repro.runtime.batch.BatchLPSolver`, which keeps the
+        persistent model alive across solves and reuses the min's basis
+        for the max.
 
     Raises
     ------
@@ -135,43 +83,14 @@ def optimize_metric(
         indicates a modeling bug, never a property of the network, so it is
         surfaced loudly rather than returned as NaN.
     """
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    # Exotic linprog methods (anything beyond auto/highs/highs-ipm) only
-    # exist on the scipy path; route them there regardless of backend.
-    if (
-        method in ("auto", "highs", "highs-ipm")
-        and resolve_backend(backend) == "highs"
-    ):
-        info = PersistentLP(system, method=method).solve(
-            metric.dense(system.n_variables), sense
-        )
-        return LPSolution(
-            value=float(info.value + metric.constant),
-            x=info.x,
-            sense=sense,
-            status=0,
-            n_iterations=info.n_iterations,
-            method_used=info.method_used,
-        )
-    if method == "auto":
-        method = choose_lp_method(system.n_variables)
-    c = metric.dense(system.n_variables)
-    sign = 1.0 if sense == "min" else -1.0
-    if sense == "max":
-        np.negative(c, out=c)  # flip in place: one dense vector per solve
-
-    res, method_used = solve_lp_core(c, system, method)
-    if not res.success:
-        raise SolverError(
-            f"LP {sense} of {metric.name} failed: {res.message} (status {res.status})"
-        )
-    value = sign * res.fun + metric.constant
+    info = make_lp_engine(system, method, backend).solve(
+        metric.dense(system.n_variables), sense
+    )
     return LPSolution(
-        value=float(value),
-        x=res.x,
+        value=float(info.value + metric.constant),
+        x=info.x,
         sense=sense,
-        status=int(res.status),
-        n_iterations=int(getattr(res, "nit", -1)),
-        method_used=method_used,
+        status=0,
+        n_iterations=info.n_iterations,
+        method_used=info.method_used,
     )

@@ -1,91 +1,64 @@
-"""Persistent warm-started HiGHS LP backend.
+"""The LP solve engines: one persistent HiGHS model per constraint system.
 
-:func:`repro.core.lp.solve_lp_core` is stateless: every solve rebuilds the
-HiGHS model from the scipy matrices, runs presolve from scratch, and throws
-the optimal basis away.  On the marginal-balance polytopes that statelessness
-is exactly where the time goes — ``BENCH_lp_scaling.json`` showed a single
-M = 10, N = 25 bound pair at 35.9s while constraint assembly took 0.07s.
-
-This module keeps the solver alive instead:
+Every bound of the paper's method is a min and a max LP over the same
+marginal-balance polytope, and a standard-metric sweep asks ``2 * n_metrics``
+of them per model.  Two engines answer those solves, with one interface,
+``solve(c, sense, reuse_basis=False) -> LPRunInfo``:
 
 ``PersistentLP``
     wraps one HiGHS instance over one :class:`ConstraintSystem`.  The model
-    is passed to the solver once; subsequent objectives swap only the cost
-    vector (``changeColsCost``) and the optimization sense.  The min/max
-    pair of a metric reuses the optimal basis left by the first solve, and
-    sweeps over adjacent populations warm-start from a *mapped* basis (see
-    below).  The scipy ``linprog`` retry ladder (alternate algorithm, then
-    simplex with presolve off) is preserved verbatim.
+    is passed to the solver once; each objective swaps only the cost vector
+    (``changeColsCost``) and the optimization sense.  The max of a min/max
+    pair restarts primal simplex from the basis the min left
+    (``reuse_basis=True``).  It runs on the HiGHS binding scipy >= 1.15
+    vendors for its own ``linprog`` (a private module, hence the fallback).
 
-``choose_lp_method``
-    the shared auto-method rule, re-tuned against this backend's
-    measurements.  The seed inherited ``_IPM_THRESHOLD = 20_000``; measured
-    on the ring-of-MAP(2) family, interior point already beats dual simplex
-    at ~850 variables (0.16s vs 0.20s per pair) and wins by 4-6x from
-    ~4,000 variables up (M = 10, N = 10: 38-72s per simplex solve vs 3-4s
-    IPM).  The corrected threshold is 1,000.
+``StatelessLP``
+    one ``scipy.optimize.linprog`` call per solve; nothing is kept between
+    solves.  It is the only engine when scipy's HiGHS binding does not
+    import, and the reference the tests hold the persistent engine to.
 
-``LPLineageStore``
-    a process-wide map ``topology_key -> per-(metric, sense) basis
-    snapshots``.  Adjacent sweep populations N -> N+1 solve near-identical
-    polytopes; the store carries each lineage's last optimal basis between
-    :class:`~repro.runtime.batch.BatchLPSolver` instances (and, because it
-    is process-wide, between sweep points inside one worker process).
+:func:`make_lp_engine` is the one place the engine is chosen: the
+persistent one whenever the binding imports, unless ``backend="scipy"``
+asks for the stateless one.  Both engines resolve the method with
+:func:`choose_lp_method`, walk the same retry ladder (:func:`_ladder`) and
+count a solve that needed it the same way.
 
-Warm-start mechanics: the variable layout of :class:`VariableIndex` gives
-every block exactly one population-dependent axis, so old -> new column
-index maps are a vectorized reshape; constraint rows are matched by their
-exact labels (population-independent strings like ``"S1[j=0,k=1,...]"``).
-Unmatched new columns start nonbasic at their lower bound, unmatched new
-rows start basic (their slack enters the basis), and the basis is marked
-``alien`` so HiGHS repairs the singular leftovers.  Measured on the
-ring-of-MAP(2) lineages: 4-7x fewer simplex iterations than a cold solve
-(195-315 against 1,193-1,747 at M = 3), values agreeing to 1e-15.  Warm
-starts only materialize when the resolved method is simplex: interior
-point ignores start bases, and a simplex start forced past the auto
-threshold loses outright (an IPM-crossover-sourced basis warm-started
-10.9k iterations against an 88-iteration cold IPM solve) — so above
-``_IPM_THRESHOLD`` every solve runs cold interior point and the lineage
-store is not consulted.
-
-Backend discovery prefers a real ``highspy`` installation (the optional
-``repro[highs]`` extra), falls back to the copy scipy >= 1.15 vendors for
-its own ``linprog``, and finally to the stateless scipy path — so the
-persistent backend is available wherever scipy's HiGHS is, and
-``REPRO_LP_BACKEND=scipy`` forces the zero-dependency fallback.
+Measured on the benchmark's LP cells (``docs/performance.md``, "What each
+mechanism earns"): the persistent model with min/max pair reuse is ~1.5x
+faster than stateless ``linprog`` at the same method.  No solve starts
+from the basis of another population's model: on those cells such warm
+starts cut simplex iterations but not time.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from repro import obs
 from repro.utils.errors import SolverError
 
 __all__ = [
-    "PersistentLP",
     "LPRunInfo",
-    "LPLineageStore",
+    "PersistentLP",
+    "StatelessLP",
     "choose_lp_method",
-    "get_lp_lineage_store",
     "highs_available",
     "highs_impl",
-    "resolve_backend",
+    "make_lp_engine",
 ]
 
 
 # ---------------------------------------------------------------------- #
-# method selection (shared by both backends)
+# method selection (shared by both engines)
 # ---------------------------------------------------------------------- #
 #: Above this variable count, interior point beats HiGHS's dual simplex on
 #: these highly degenerate balance polytopes.  Re-measured for the
-#: persistent backend: IPM is already ahead at ~850 variables and wins by
+#: persistent engine: IPM is already ahead at ~850 variables and wins by
 #: 4-6x from ~4,000 up (the seed value of 20,000 left M = 10 sweeps on a
 #: 6x-slower simplex path).
 _IPM_THRESHOLD = 1_000
@@ -94,6 +67,8 @@ _IPM_THRESHOLD = 1_000
 _SIMPLEX_STRATEGY_CHOOSE = 0
 _SIMPLEX_STRATEGY_PRIMAL = 4
 
+_METHODS = ("auto", "highs", "highs-ipm")
+
 
 def choose_lp_method(n_variables: int) -> str:
     """Auto method for a cold solve: ``"highs"`` (dual simplex) for small
@@ -101,78 +76,76 @@ def choose_lp_method(n_variables: int) -> str:
     return "highs" if n_variables <= _IPM_THRESHOLD else "highs-ipm"
 
 
+def _ladder(method: str) -> "tuple[tuple[str, bool], ...]":
+    """The attempts of one solve, in order: ``(method, presolve)``.
+
+    HiGHS occasionally reports spurious infeasibility on the ill-conditioned
+    instances this polytope produces (high-SCV MAP(2) moments put 4+ orders
+    of magnitude between coefficients).  The exact constraints are feasible
+    by construction, so a failed solve retries the alternate HiGHS
+    algorithm, then simplex with presolve disabled, before giving up.
+    """
+    alternate = "highs" if method == "highs-ipm" else "highs-ipm"
+    return ((method, True), (alternate, True), ("highs", False))
+
+
 # ---------------------------------------------------------------------- #
-# backend discovery
+# engine choice
 # ---------------------------------------------------------------------- #
 def _load_highs():
-    """(module, Highs class, impl name) of the best available HiGHS binding."""
+    """(module, Highs class) of the HiGHS binding scipy vendors, or Nones."""
     try:
-        import highspy  # optional dependency: the repro[highs] extra
-
-        return highspy, highspy.Highs, "highspy"
-    except ImportError:
-        pass
-    try:
-        # scipy >= 1.15 vendors highspy for its own linprog; same pybind11
-        # API surface, private location — hence the gated fallback.
+        # scipy >= 1.15 vendors HiGHS's pybind11 binding for its own
+        # linprog at a private location — hence the stateless fallback.
         from scipy.optimize._highspy import _core
 
-        cls = getattr(_core, "Highs", None) or _core._Highs
-        return _core, cls, "scipy-vendored"
+        return _core, getattr(_core, "Highs", None) or _core._Highs
     except (ImportError, AttributeError):
-        return None, None, None
+        return None, None
 
 
-_HIGHS_MOD, _HIGHS_CLS, _HIGHS_IMPL = _load_highs()
+_HIGHS_MOD, _HIGHS_CLS = _load_highs()
 
 
 def highs_available() -> bool:
-    """Whether the persistent HiGHS backend can run in this process."""
+    """Whether the persistent HiGHS engine can run in this process."""
     return _HIGHS_MOD is not None
 
 
 def highs_impl() -> "str | None":
-    """``"highspy"`` | ``"scipy-vendored"`` | ``None`` (which binding)."""
-    return _HIGHS_IMPL
+    """``"scipy-vendored"`` (the binding in use) or ``None`` (none imports)."""
+    return "scipy-vendored" if highs_available() else None
 
 
-def resolve_backend(backend: str = "auto") -> str:
-    """Resolve a backend request to ``"highs"`` or ``"scipy"``.
+def make_lp_engine(system, method: str = "auto", backend: str = "auto"):
+    """The LP engine for one constraint system.
 
-    ``"auto"`` (the default everywhere) prefers the persistent HiGHS
-    backend when a binding is importable and falls back to the stateless
-    scipy path otherwise, so the optional dependency never becomes a
-    requirement.  The ``REPRO_LP_BACKEND`` environment variable overrides
-    ``"auto"`` (used by CI to pin the scipy leg); explicit arguments beat
-    the environment.
+    ``backend="auto"`` (the default everywhere) picks :class:`PersistentLP`
+    when a HiGHS binding imports and :class:`StatelessLP` otherwise;
+    ``"highs"`` insists on the persistent engine and ``"scipy"`` on the
+    stateless one.  ``method`` is ``"auto"`` (:func:`choose_lp_method`),
+    ``"highs"`` (dual simplex) or ``"highs-ipm"`` (interior point).
     """
-    if backend == "auto":
-        env = os.environ.get("REPRO_LP_BACKEND", "").strip().lower()
-        if env:
-            backend = env
-    if backend == "auto":
-        return "highs" if highs_available() else "scipy"
-    if backend == "highs":
-        if not highs_available():
-            raise SolverError(
-                "LP backend 'highs' requested but no HiGHS binding is "
-                "importable (pip install 'repro[highs]', or use "
-                "backend='scipy')"
-            )
-        return "highs"
-    if backend == "scipy":
-        return "scipy"
-    raise ValueError(
-        f"unknown LP backend {backend!r}; expected 'auto', 'highs' or 'scipy'"
-    )
+    if backend not in ("auto", "highs", "scipy"):
+        raise ValueError(
+            f"unknown LP backend {backend!r}; expected 'auto', 'highs' or 'scipy'"
+        )
+    if backend == "highs" and not highs_available():
+        raise SolverError(
+            "LP backend 'highs' requested but scipy's HiGHS binding does not "
+            "import (use backend='scipy')"
+        )
+    if backend == "scipy" or not highs_available():
+        return StatelessLP(system, method)
+    return PersistentLP(system, method)
 
 
 # ---------------------------------------------------------------------- #
-# the persistent solver
+# the engines
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class LPRunInfo:
-    """Outcome of one :meth:`PersistentLP.solve`."""
+    """Outcome of one engine ``solve``."""
 
     value: float
     x: np.ndarray
@@ -180,10 +153,57 @@ class LPRunInfo:
     method_used: str     # "highs" | "highs-ipm" (ladder step that succeeded)
     n_iterations: int    # simplex + ipm + crossover iterations
     n_fallbacks: int     # retry-ladder steps taken
-    warm_started: bool
+    reused_basis: bool   # started from the basis the previous solve left
 
 
-class PersistentLP:
+class _LPEngine:
+    """What both engines share: the resolved method and the ladder walk.
+
+    Subclasses load an objective (``_load``), run one attempt of the ladder
+    (``_attempt``), and read the optimum (``_info``) or the failure
+    (``_status``).
+    """
+
+    backend = ""
+
+    def __init__(self, system, method: str = "auto") -> None:
+        if method not in _METHODS:
+            raise ValueError(
+                f"unknown LP method {method!r}; expected 'auto', 'highs' "
+                "or 'highs-ipm'"
+            )
+        self.system = system
+        self.n_variables = int(system.n_variables)
+        #: the resolved method of every solve: "highs" or "highs-ipm"
+        self.method = (
+            choose_lp_method(self.n_variables) if method == "auto" else method
+        )
+
+    def solve(
+        self, c: np.ndarray, sense: str = "min", reuse_basis: bool = False
+    ) -> LPRunInfo:
+        """Optimize ``c @ x`` over the polytope in the given sense.
+
+        ``reuse_basis`` asks to start from the basis the previous solve of
+        this engine left — the min/max-pair case, where only the sense
+        flipped (see :class:`PersistentLP`).  Raises :class:`SolverError`
+        after every step of the retry ladder fails.
+        """
+        if sense not in ("min", "max"):
+            raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
+        reused = self._load(c, sense, reuse_basis)
+        tele = obs.get_telemetry()
+        for step, (method, presolve) in enumerate(_ladder(self.method)):
+            if step:
+                tele.counter("lp.retry_step")
+            if self._attempt(method, presolve, reused and not step):
+                return self._info(sense, method, step, reused)
+        raise SolverError(
+            f"LP {sense} failed after {step} retries: {self._status()}"
+        )
+
+
+class PersistentLP(_LPEngine):
     """One HiGHS model per constraint system, many objectives per model.
 
     Parameters
@@ -191,22 +211,16 @@ class PersistentLP:
     system:
         Assembled :class:`~repro.core.constraints.ConstraintSystem`.
     method:
-        ``"auto"`` (every solve follows :func:`choose_lp_method`; warm
-        starts then only materialize in the simplex regime) or an
-        explicit ``"highs"`` / ``"highs-ipm"`` that every solve honors.
+        ``"auto"`` (:func:`choose_lp_method`) or an explicit ``"highs"`` /
+        ``"highs-ipm"`` that every solve honors.
     """
+
+    backend = "highs"
 
     def __init__(self, system, method: str = "auto") -> None:
         if not highs_available():  # pragma: no cover - guarded by callers
             raise SolverError("PersistentLP requires a HiGHS binding")
-        if method not in ("auto", "highs", "highs-ipm"):
-            raise ValueError(
-                f"unknown LP method {method!r}; expected 'auto', 'highs' "
-                "or 'highs-ipm'"
-            )
-        self.system = system
-        self.method = method
-        self.n_variables = int(system.n_variables)
+        super().__init__(system, method)
         self._col_indices = np.arange(self.n_variables, dtype=np.int32)
         self._have_basis = False
         self._h = _HIGHS_CLS()
@@ -214,7 +228,6 @@ class PersistentLP:
         self._h.passModel(self._build_model())
         obs.get_telemetry().counter("lp.model_rebuild")
 
-    # ------------------------------------------------------------------ #
     def _build_model(self):
         """The HiGHS LP: equalities stacked over inequalities, row-wise CSR."""
         hc = _HIGHS_MOD
@@ -239,112 +252,47 @@ class PersistentLP:
         lp.a_matrix_.value_ = A.data
         return lp
 
-    @property
-    def n_rows(self) -> int:
-        return int(self.system.n_rows)
+    def _load(self, c: np.ndarray, sense: str, reuse_basis: bool) -> bool:
+        """Swap in the objective; whether the kept basis will be reused.
 
-    # ------------------------------------------------------------------ #
-    def _resolve_method(self) -> str:
-        if self.method != "auto":
-            return self.method
-        return choose_lp_method(self.n_variables)
+        Reuse switches to *primal* simplex: the kept basis stays primal
+        feasible because only the objective flipped (measured ~1.8x fewer
+        iterations than a cold max).  Otherwise the solver state is
+        cleared — a basis carried across *different* objectives is poison
+        (22.9k iterations against 8.4k cold).  Interior point ignores start
+        bases, so it always runs cold.
+        """
+        hc = _HIGHS_MOD
+        self._h.changeColsCost(
+            self.n_variables, self._col_indices, np.asarray(c, dtype=float)
+        )
+        self._h.changeObjectiveSense(
+            hc.ObjSense.kMinimize if sense == "min" else hc.ObjSense.kMaximize
+        )
+        return reuse_basis and self._have_basis and self.method == "highs"
 
-    def _configure(self, method: str, presolve: bool = True) -> None:
+    def _attempt(self, method: str, presolve: bool, reuse: bool) -> bool:
+        if not reuse:
+            self._h.clearSolver()  # cold: drop any stale basis/solution
         self._h.setOptionValue(
             "solver", "ipm" if method == "highs-ipm" else "simplex"
         )
         self._h.setOptionValue("presolve", "on" if presolve else "off")
+        if not reuse:
+            return self._run_ok()
+        self._h.setOptionValue("simplex_strategy", _SIMPLEX_STRATEGY_PRIMAL)
+        try:
+            return self._run_ok()
+        finally:
+            self._h.setOptionValue("simplex_strategy", _SIMPLEX_STRATEGY_CHOOSE)
 
     def _run_ok(self) -> bool:
         self._h.run()
         return self._h.getModelStatus() == _HIGHS_MOD.HighsModelStatus.kOptimal
 
-    def solve(
-        self,
-        c: "np.ndarray | None" = None,
-        sense: str = "min",
-        warm_basis=None,
-        reuse_basis: bool = False,
+    def _info(
+        self, sense: str, method_used: str, n_fallbacks: int, reused: bool
     ) -> LPRunInfo:
-        """Optimize ``c @ x`` over the model in the given sense.
-
-        ``warm_basis`` is a mapped :class:`HighsBasis` (see
-        :func:`map_basis_snapshot`) to start from — dual simplex repairs
-        the alien basis and finishes in a fraction of the cold iteration
-        count when the basis comes from the same (metric, sense) at an
-        adjacent population.  ``reuse_basis`` keeps whatever basis the
-        previous solve of *this* object left and switches to *primal*
-        simplex: the min/max-pair case, where the kept basis stays primal
-        feasible because only the objective flipped (measured ~1.8x fewer
-        iterations than a cold max).  With neither, the solver state is
-        cleared — a basis carried across *different* objectives is poison
-        (22.9k iterations against 8.4k cold), as is any simplex start on
-        the big degenerate instances, so warm requests only materialize
-        when the resolved method is simplex; interior point always runs
-        cold.
-
-        Raises :class:`SolverError` after the full retry ladder fails.
-        """
-        if sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-        hc = _HIGHS_MOD
-        if c is not None:
-            self._h.changeColsCost(
-                self.n_variables, self._col_indices, np.asarray(c, dtype=float)
-            )
-        self._h.changeObjectiveSense(
-            hc.ObjSense.kMinimize if sense == "min" else hc.ObjSense.kMaximize
-        )
-
-        want_warm = warm_basis is not None or (reuse_basis and self._have_basis)
-        method = self._resolve_method()
-        # A warm request only materializes on simplex: IPM ignores bases,
-        # and forcing simplex past the auto threshold loses (measured).
-        warm = want_warm and method == "highs"
-        if warm and warm_basis is not None:
-            self._h.setBasis(warm_basis)
-        elif not (warm and reuse_basis):
-            self._h.clearSolver()  # cold: drop any stale basis/solution
-            warm = False
-        self._configure(method)
-        pair_reuse = warm and warm_basis is None
-        if pair_reuse:
-            self._h.setOptionValue(
-                "simplex_strategy", _SIMPLEX_STRATEGY_PRIMAL
-            )
-
-        try:
-            ok = self._run_ok()
-        finally:
-            if pair_reuse:
-                self._h.setOptionValue(
-                    "simplex_strategy", _SIMPLEX_STRATEGY_CHOOSE
-                )
-        method_used = method
-        n_fallbacks = 0
-        if not ok:
-            # Same ladder as the stateless path: the alternate HiGHS
-            # algorithm, then simplex with presolve disabled.  Each retry
-            # starts cold — a basis that just failed must not leak in.
-            tele = obs.get_telemetry()
-            alternate = "highs" if method == "highs-ipm" else "highs-ipm"
-            for meth, presolve in ((alternate, True), ("highs", False)):
-                tele.counter("lp.retry_step")
-                n_fallbacks += 1
-                self._h.clearSolver()
-                self._configure(meth, presolve=presolve)
-                method_used = meth
-                if self._run_ok():
-                    ok = True
-                    break
-        # leave presolve on for whoever solves next
-        self._h.setOptionValue("presolve", "on")
-        if not ok:
-            raise SolverError(
-                f"persistent LP {sense} failed: model status "
-                f"{self._h.getModelStatus()} after {n_fallbacks} retries"
-            )
-
         info = self._h.getInfo()
         iterations = (
             int(info.simplex_iteration_count)
@@ -359,168 +307,60 @@ class PersistentLP:
             method_used=method_used,
             n_iterations=iterations,
             n_fallbacks=n_fallbacks,
-            warm_started=warm,
+            reused_basis=reused,
         )
 
-    # ------------------------------------------------------------------ #
-    def basis_snapshot(self) -> "tuple[np.ndarray, np.ndarray] | None":
-        """(column statuses, row statuses) as compact int8 arrays."""
-        basis = self._h.getBasis()
-        if not basis.valid:
-            return None
-        col = np.fromiter(map(int, basis.col_status), dtype=np.int8)
-        row = np.fromiter(map(int, basis.row_status), dtype=np.int8)
-        return col, row
-
-    def make_basis(self, col_status: np.ndarray, row_status: np.ndarray):
-        """A ``HighsBasis`` (marked alien) from int8 status arrays."""
-        hc = _HIGHS_MOD
-        basis = hc.HighsBasis()
-        basis.col_status = [hc.HighsBasisStatus(int(s)) for s in col_status]
-        basis.row_status = [hc.HighsBasisStatus(int(s)) for s in row_status]
-        basis.valid = True
-        basis.alien = True  # let HiGHS repair the mapped/singular leftovers
-        return basis
+    def _status(self) -> str:
+        return f"model status {self._h.getModelStatus()}"
 
 
-# ---------------------------------------------------------------------- #
-# population-lineage warm starts
-# ---------------------------------------------------------------------- #
-#: Population axis of each variable-block family in the
-#: :class:`VariableIndex` layout — the single N-dependent dimension the
-#: column mapping reshapes along.
-_N_AXIS = {"pi": 0, "V": 1, "W": 1, "G": 1, "S": 2, "T": 2}
+class StatelessLP(_LPEngine):
+    """One ``scipy.optimize.linprog`` call per solve; no state is kept.
 
-
-@dataclass(frozen=True)
-class _ModelShape:
-    """Everything basis mapping needs to know about one model's layout."""
-
-    n_population: int
-    n_variables: int
-    blocks: "tuple[tuple[tuple, int, tuple[int, ...]], ...]"  # (key, off, shape)
-    row_lut: "dict[str, int]"  # exact row label -> stacked row index
-
-
-def model_shape(system) -> _ModelShape:
-    """Layout snapshot of an assembled system (materializes row labels)."""
-    labels = list(system.eq_labels) + list(system.ub_labels)
-    return _ModelShape(
-        n_population=int(system.vi.network.population),
-        n_variables=int(system.n_variables),
-        blocks=tuple(system.vi.blocks()),
-        row_lut={lab: i for i, lab in enumerate(labels)},
-    )
-
-
-def map_basis_snapshot(
-    old_shape: _ModelShape,
-    old_col: np.ndarray,
-    old_row: np.ndarray,
-    new_shape: _ModelShape,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Map a basis between the models of two adjacent populations.
-
-    Columns: every block has exactly one population axis (``_N_AXIS``), so
-    the overlap ``n <= min(N_old, N_new)`` copies with one vectorized
-    reshape per block; columns only the new model has start nonbasic at
-    their lower bound (``kLower = 0``).  Rows: matched by exact label
-    (labels are population-independent strings, so a row present in both
-    models matches itself); rows only the new model has start basic
-    (``kBasic = 1`` — their slack enters the basis).  The result is alien:
-    HiGHS repairs it into a valid starting basis.
-    """
-    k_lower, k_basic = np.int8(0), np.int8(1)
-    col_status = np.full(new_shape.n_variables, k_lower, dtype=np.int8)
-    old_blocks = {key: (off, shp) for key, off, shp in old_shape.blocks}
-    for key, off, shp in new_shape.blocks:
-        hit = old_blocks.get(key)
-        if hit is None:  # topology differs — caller keyed the store wrong
-            continue
-        ooff, oshp = hit
-        ax = _N_AXIS[key[0]]
-        n_copy = min(shp[ax], oshp[ax])
-        sl_new = [slice(None)] * len(shp)
-        sl_old = [slice(None)] * len(oshp)
-        sl_new[ax] = sl_old[ax] = slice(0, n_copy)
-        flat_new = (
-            np.arange(np.prod(shp)).reshape(shp)[tuple(sl_new)] + off
-        ).ravel()
-        flat_old = (
-            np.arange(np.prod(oshp)).reshape(oshp)[tuple(sl_old)] + ooff
-        ).ravel()
-        col_status[flat_new] = old_col[flat_old]
-
-    row_status = np.full(len(new_shape.row_lut), k_basic, dtype=np.int8)
-    old_lut = old_shape.row_lut
-    for label, i in new_shape.row_lut.items():
-        j = old_lut.get(label)
-        if j is not None:
-            row_status[i] = old_row[j]
-    return col_status, row_status
-
-
-class LPLineageStore:
-    """Process-wide basis lineages: ``topology_key -> (metric, sense) -> basis``.
-
-    One entry per topology (LRU-bounded); each ``(metric, sense)`` lineage
-    holds the latest optimal basis snapshot together with the model shape
-    it belongs to, so the next population's solver can map it.  Lives at
-    process scope: inside a sweep worker every point shares the store, so
-    serial and parallel sweeps both warm-start within their own process —
-    warm starts change iteration counts, never optima, so serial and
-    parallel results still agree to LP tolerance.
+    ``reuse_basis`` is accepted and ignored: ``linprog`` builds and
+    discards its HiGHS model on every call.
     """
 
-    def __init__(self, maxsize: int = 8) -> None:
-        self.maxsize = int(maxsize)
-        self._entries: "OrderedDict[str, dict]" = OrderedDict()
-        # The store is process-wide; registry methods may be driven from
-        # threads (e.g. a thread-pooled harness), and a lookup's recency
-        # bump racing a store's eviction loop would corrupt the LRU order.
-        self._lock = threading.Lock()
+    backend = "scipy"
 
-    def lookup(
-        self, topology_key: str, metric: str, sense: str
-    ) -> "tuple[_ModelShape, np.ndarray, np.ndarray] | None":
-        """Latest ``(shape, col_status, row_status)`` of a lineage, if any."""
-        with self._lock:
-            entry = self._entries.get(topology_key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(topology_key)
-            return entry.get((metric, sense))
+    def __init__(self, system, method: str = "auto") -> None:
+        super().__init__(system, method)
+        self._bounds = np.column_stack([system.lb, system.ub])
 
-    def store(
-        self,
-        topology_key: str,
-        metric: str,
-        sense: str,
-        shape: _ModelShape,
-        col_status: np.ndarray,
-        row_status: np.ndarray,
-    ) -> None:
-        with self._lock:
-            entry = self._entries.get(topology_key)
-            if entry is None:
-                entry = self._entries[topology_key] = {}
-                while len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-            self._entries.move_to_end(topology_key)
-            entry[(metric, sense)] = (shape, col_status, row_status)
+    def _load(self, c: np.ndarray, sense: str, reuse_basis: bool) -> bool:
+        # linprog minimizes: a max negates into a scratch copy, so the
+        # caller's (possibly cached) coefficient vector is never mutated.
+        self._c = c if sense == "min" else np.negative(c)
+        self._sign = 1.0 if sense == "min" else -1.0
+        return False
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+    def _attempt(self, method: str, presolve: bool, reuse: bool) -> bool:
+        s = self.system
+        self._res = linprog(
+            self._c,
+            A_eq=s.A_eq if s.n_equalities else None,
+            b_eq=s.b_eq if s.n_equalities else None,
+            A_ub=s.A_ub if s.n_inequalities else None,
+            b_ub=s.b_ub if s.n_inequalities else None,
+            bounds=self._bounds,
+            method=method,
+            options=None if presolve else {"presolve": False},
+        )
+        return bool(self._res.success)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    def _info(
+        self, sense: str, method_used: str, n_fallbacks: int, reused: bool
+    ) -> LPRunInfo:
+        res = self._res
+        return LPRunInfo(
+            value=float(self._sign * res.fun),
+            x=res.x,
+            sense=sense,
+            method_used=method_used,
+            n_iterations=int(res.nit),
+            n_fallbacks=n_fallbacks,
+            reused_basis=False,
+        )
 
-
-_lineage_store = LPLineageStore()
-
-
-def get_lp_lineage_store() -> LPLineageStore:
-    """The process-wide lineage store (one per sweep worker process)."""
-    return _lineage_store
+    def _status(self) -> str:
+        return f"{self._res.message} (status {self._res.status})"

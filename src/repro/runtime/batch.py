@@ -17,15 +17,13 @@ default unless one is injected), so a population sweep over a fixed
 topology computes the phase/routing block patterns exactly once and only
 re-materializes the N-dependent slices at each point.
 
-Solves route through the persistent HiGHS backend
-(:mod:`repro.core.lpbackend`) whenever a binding is importable
-(``backend="auto"``; ``"scipy"`` forces the stateless fallback): the model
-is passed to the solver once, objectives swap only the cost vector, the
-max of each min/max pair restarts primal simplex from the min's optimal
-basis, and — in the simplex regime — solves warm-start from the mapped
-basis of the same metric at the previous sweep population via the
-process-wide lineage store.  Telemetry counters ``lp.model_rebuild``,
-``lp.basis_reuse`` and ``lp.warm_start`` make each reuse visible.
+Solves run on the engine :func:`repro.core.lpbackend.make_lp_engine`
+picks: the persistent HiGHS model whenever scipy's binding imports
+(``backend="auto"``; ``"scipy"`` asks for stateless ``linprog``).  The
+model is passed to the solver once, objectives swap only the cost vector,
+and the max of each min/max pair restarts primal simplex from the min's
+optimal basis.  Telemetry counters ``lp.model_rebuild`` and
+``lp.basis_reuse`` make each reuse visible.
 
 Metric requests use compact string specs::
 
@@ -44,15 +42,7 @@ import numpy as np
 from repro import obs
 from repro.core.assembly import AssemblyCache, get_assembly_cache
 from repro.core.bounds import BoundsResult, Interval
-from repro.core.lp import solve_lp_core
-from repro.core.lpbackend import (
-    PersistentLP,
-    choose_lp_method,
-    get_lp_lineage_store,
-    map_basis_snapshot,
-    model_shape,
-    resolve_backend,
-)
+from repro.core.lpbackend import make_lp_engine
 from repro.core.objectives import (
     LinearMetric,
     queue_length_metric,
@@ -62,7 +52,6 @@ from repro.core.objectives import (
 )
 from repro.core.variables import VariableIndex
 from repro.network.model import Network, require_closed
-from repro.utils.errors import SolverError
 
 __all__ = ["BatchLPSolver", "expand_metric_specs"]
 
@@ -123,7 +112,6 @@ class BatchLPSolver:
         include_redundant: bool = False,
         method: str = "auto",
         backend: str = "auto",
-        warm_start: bool = True,
         assembly_cache: AssemblyCache | None = None,
     ) -> None:
         require_closed(network, "lp")
@@ -138,42 +126,20 @@ class BatchLPSolver:
             self.plan_from_cache = cache.misses == plan_misses
             self.vi = VariableIndex(network, triples=plan.triples)
             self.system = plan.assemble(network, vi=self.vi)
-            self._bounds_array = np.column_stack([self.system.lb, self.system.ub])
             self.build_time_s = obs.clock() - t0
             span.set("plan_from_cache", self.plan_from_cache)
             span.set("n_variables", int(self.system.n_variables))
-        #: "highs" (persistent warm-started model) or "scipy" (stateless).
-        self.backend = resolve_backend(backend)
-        self._method_requested = method
-        #: resolved *cold* method (reporting; warm solves may use simplex)
-        self.method = (
-            choose_lp_method(self.system.n_variables)
-            if method == "auto"
-            else method
-        )
-        self._plp: PersistentLP | None = None
-        if self.backend == "highs":
-            self._plp = PersistentLP(self.system, method=method)
-        # Population-lineage warm starts only pay (and only fire) in the
-        # simplex regime; the shape snapshot materializes row labels, so
-        # skip it entirely for the big interior-point instances.
-        self._lineage = (
-            get_lp_lineage_store()
-            if (
-                warm_start
-                and self._plp is not None
-                and self.method == "highs"
-            )
-            else None
-        )
-        self._topology_key = plan.key
-        self._shape = (
-            model_shape(self.system) if self._lineage is not None else None
-        )
+        self._engine = make_lp_engine(self.system, method, backend)
+        #: "highs" (persistent model) or "scipy" (stateless linprog)
+        self.backend = self._engine.backend
+        #: resolved method of every solve: "highs" or "highs-ipm"
+        self.method = self._engine.method
         self._last_metric: str | None = None
         self.n_solves = 0
-        self.n_fallbacks = 0  # solves completed by a different HiGHS algorithm
-        self.n_warm_starts = 0  # solves started from a mapped lineage basis
+        self.n_fallbacks = 0  # solves that needed the retry ladder
+        #: always 0: no solve starts from another model's basis; the lp
+        #: result's ``extra["lp_warm_starts"]`` (and cached payloads) carry it
+        self.n_warm_starts = 0
         self.n_basis_reuse = 0  # min/max pair solves off the kept basis
         self.n_iterations = 0  # simplex + ipm + crossover, all solves
         self.solve_time_s = 0.0
@@ -187,83 +153,26 @@ class BatchLPSolver:
         return self._optimize_dense(c, sense, metric.name) + metric.constant
 
     def _optimize_dense(self, c: np.ndarray, sense: str, name: str) -> float:
-        if sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-        if self._plp is not None:
-            return self._optimize_persistent(c, sense, name)
-        sign = 1.0 if sense == "min" else -1.0
+        # The kept basis is only primal-feasible for the *same* metric (the
+        # min/max pair); across metrics it misleads the solver.
+        reuse = self._last_metric == name
         with obs.get_telemetry().span("lp.solve", metric=name, sense=sense) as span:
             t0 = obs.clock()
-            # min uses the caller's vector as-is; max negates into a scratch
-            # copy so cached coefficient vectors are never mutated.
-            res, method_used = solve_lp_core(
-                c if sense == "min" else np.negative(c),
-                self.system,
-                self.method,
-                self._bounds_array,
-            )
-            self.solve_time_s += obs.clock() - t0
-            self.n_solves += 1
-            self.n_iterations += int(getattr(res, "nit", 0) or 0)
-            span.count("lp.solves")
-            span.count("lp.iterations", int(getattr(res, "nit", 0) or 0))
-            if method_used != self.method:
-                self.n_fallbacks += 1
-                span.count("lp.fallbacks")
-                span.set("method_used", method_used)
-        if not res.success:
-            raise SolverError(
-                f"LP {sense} of {name} failed: {res.message} (status {res.status})"
-            )
-        return float(sign * res.fun)
-
-    def _optimize_persistent(self, c: np.ndarray, sense: str, name: str) -> float:
-        """One solve on the persistent model: swap the cost vector, pick
-        the cheapest valid start (pair basis > mapped lineage basis > cold),
-        record the basis for the next population of this lineage."""
-        with obs.get_telemetry().span("lp.solve", metric=name, sense=sense) as span:
-            t0 = obs.clock()
-            # The kept basis is only primal-feasible for the *same* metric
-            # (the min/max pair); across metrics it misleads the solver.
-            reuse = self._last_metric == name
-            warm_basis = None
-            if not reuse and self._lineage is not None:
-                hit = self._lineage.lookup(self._topology_key, name, sense)
-                if hit is not None:
-                    # Adjacent population: the mapping reshapes the blocks.
-                    # Same population (a fresh solver re-running a lineage):
-                    # the mapping is the identity and the warm solve is a
-                    # near-free replay of the stored optimal basis.
-                    col, row = map_basis_snapshot(
-                        hit[0], hit[1], hit[2], self._shape
-                    )
-                    warm_basis = self._plp.make_basis(col, row)
-            info = self._plp.solve(c, sense, warm_basis=warm_basis,
-                                   reuse_basis=reuse)
+            info = self._engine.solve(c, sense, reuse_basis=reuse)
             self._last_metric = name
-            if self._lineage is not None:
-                snap = self._plp.basis_snapshot()
-                if snap is not None:
-                    self._lineage.store(
-                        self._topology_key, name, sense, self._shape, *snap
-                    )
             self.solve_time_s += obs.clock() - t0
             self.n_solves += 1
             self.n_iterations += info.n_iterations
             span.count("lp.solves")
             span.count("lp.iterations", info.n_iterations)
-            if info.warm_started:
-                if warm_basis is not None:
-                    self.n_warm_starts += 1
-                    span.count("lp.warm_start")
-                else:
-                    self.n_basis_reuse += 1
-                    span.count("lp.basis_reuse")
+            if info.reused_basis:
+                self.n_basis_reuse += 1
+                span.count("lp.basis_reuse")
             if info.n_fallbacks:
                 self.n_fallbacks += 1
                 span.count("lp.fallbacks")
                 span.set("method_used", info.method_used)
-        return float(info.value)
+        return info.value
 
     def bound(self, metric: LinearMetric) -> Interval:
         """[min, max] of one metric — one dense vector, two solves."""

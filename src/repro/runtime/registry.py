@@ -223,8 +223,8 @@ def _solve_lp(
     lp_method: str = "auto",
     backend: str = "auto",
 ) -> SolveResult:
-    """``backend="auto"`` solves on the persistent warm-started HiGHS
-    model when a binding is importable, else stateless scipy ``linprog``.
+    """``backend="auto"`` solves on the persistent HiGHS model when
+    scipy's binding imports, else on stateless scipy ``linprog``.
 
     Both backends answer with the same optima to LP tolerance, so
     ``backend`` is provenance (excluded from the cache fingerprint,
@@ -258,7 +258,7 @@ def _solve_lp(
             "lp_method": solver.method,
             "lp_iterations": solver.n_iterations,
             "lp_fallbacks": solver.n_fallbacks,
-            "lp_warm_starts": solver.n_warm_starts,
+            "lp_warm_starts": solver.n_warm_starts,  # always 0; payload shape
             "lp_basis_reuse": solver.n_basis_reuse,
             # population sweeps reuse one cached assembly plan per topology
             "assembly_plan_cached": solver.plan_from_cache,

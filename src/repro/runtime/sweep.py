@@ -16,14 +16,9 @@ Workers build their own :class:`~repro.runtime.registry.SolverRegistry`
 pointing at the *same* disk cache directory, so a re-run of a sweep is
 served from disk without recomputation regardless of worker count.
 
-LP sweeps additionally warm-start across points: the persistent HiGHS
-backend keeps per-``(metric, sense)`` basis lineages in a process-wide
-store (:func:`repro.core.lpbackend.get_lp_lineage_store`), so adjacent
-populations solved in the same process — the whole sweep when serial, each
-worker's share when parallel — start dual simplex from the mapped previous
-optimum.  Warm starts change iteration counts, never optima beyond LP
-tolerance, so serial and parallel sweeps still agree with cold solves to
-1e-9 (asserted in ``tests/runtime/test_lp_persistent.py``).
+LP points solve independently: each builds its own persistent HiGHS model,
+so serial and parallel LP sweeps give the same bounds point for point
+(asserted in ``tests/runtime/test_lp_persistent.py``).
 
 Run ``python -m repro.runtime.sweep --help`` for a CLI demonstration on the
 paper's Figure 5 case-study network.

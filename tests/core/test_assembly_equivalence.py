@@ -21,6 +21,11 @@ from repro.core import (
     canonical_form,
     build_constraints,
     build_constraints_reference,
+    optimize_metric,
+    queue_length_metric,
+    system_throughput_metric,
+    throughput_metric,
+    utilization_metric,
 )
 from repro.core.assembly import AssemblyPlan, topology_key
 from repro.maps import exponential, fit_map2, random_map2
@@ -146,38 +151,35 @@ def test_standard_bounds_match_reference_within_1e_9(name):
     net = get_scenario_registry().get(name).network(population=3)
     solver = BatchLPSolver(net, assembly_cache=AssemblyCache())
     got = solver.standard_bounds()
+    # The reference polytope, solved one metric at a time on the stateless
+    # engine at the same method: the main solver runs the persistent one
+    # wherever a HiGHS binding imports, so this doubles as a cross-engine
+    # 1e-9 agreement check.
     ref_system = build_constraints_reference(net)
-    ref_solver = BatchLPSolver.__new__(BatchLPSolver)  # reuse solve machinery
-    ref_solver.network = net
-    ref_solver.vi = ref_system.vi
-    ref_solver.system = ref_system
-    ref_solver._bounds_array = np.column_stack([ref_system.lb, ref_system.ub])
-    ref_solver.method = solver.method
-    # Stateless solve path (no persistent model, no lineage): the main
-    # solver may run the persistent backend, so this comparison doubles
-    # as a cross-backend 1e-9 agreement check at a matched method.
-    ref_solver.backend = "scipy"
-    ref_solver._plp = None
-    ref_solver._lineage = None
-    ref_solver._shape = None
-    ref_solver._last_metric = None
-    ref_solver.n_solves = ref_solver.n_fallbacks = 0
-    ref_solver.n_warm_starts = ref_solver.n_basis_reuse = 0
-    ref_solver.n_iterations = 0
-    ref_solver.solve_time_s = 0.0
-    ref_solver._dense_cache = {}
-    want = ref_solver.standard_bounds()
+    vi = ref_system.vi
+
+    def want(metric):
+        lo, hi = (
+            optimize_metric(
+                ref_system, metric, sense, method=solver.method, backend="scipy"
+            ).value
+            for sense in ("min", "max")
+        )
+        return min(lo, hi), max(lo, hi)
+
     for k in range(net.n_stations):
-        for attr in ("utilization", "throughput", "queue_length"):
-            g, w = getattr(got, attr)[k], getattr(want, attr)[k]
-            assert g.lower == pytest.approx(w.lower, abs=1e-9)
-            assert g.upper == pytest.approx(w.upper, abs=1e-9)
-    assert got.system_throughput.lower == pytest.approx(
-        want.system_throughput.lower, abs=1e-9
-    )
-    assert got.system_throughput.upper == pytest.approx(
-        want.system_throughput.upper, abs=1e-9
-    )
+        for attr, metric in (
+            ("utilization", utilization_metric(net, vi, k)),
+            ("throughput", throughput_metric(net, vi, k)),
+            ("queue_length", queue_length_metric(net, vi, k)),
+        ):
+            g = getattr(got, attr)[k]
+            lo, hi = want(metric)
+            assert g.lower == pytest.approx(lo, abs=1e-9)
+            assert g.upper == pytest.approx(hi, abs=1e-9)
+    lo, hi = want(system_throughput_metric(net, vi, 0))
+    assert got.system_throughput.lower == pytest.approx(lo, abs=1e-9)
+    assert got.system_throughput.upper == pytest.approx(hi, abs=1e-9)
 
 
 # ---------------------------------------------------------------------- #

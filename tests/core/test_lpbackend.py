@@ -1,28 +1,30 @@
-"""Persistent HiGHS backend: discovery, warm starts, basis mapping, ladder."""
+"""LP engines: the engine choice, pair reuse, and the retry ladder of both."""
 
 import numpy as np
 import pytest
 
 from repro.core import build_constraints, queue_length_metric, throughput_metric
 from repro.core.lp import optimize_metric
+from scipy.optimize import OptimizeResult, linprog
+
+import repro.core.lpbackend as lpbackend
+from repro import obs
 from repro.core.lpbackend import (
     _IPM_THRESHOLD,
-    LPLineageStore,
     PersistentLP,
+    StatelessLP,
     choose_lp_method,
-    get_lp_lineage_store,
     highs_available,
     highs_impl,
-    map_basis_snapshot,
-    model_shape,
-    resolve_backend,
+    make_lp_engine,
 )
 from repro.core.variables import VariableIndex
 from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
+from repro.runtime.batch import BatchLPSolver
 from repro.utils.errors import SolverError
 
-pytestmark = pytest.mark.skipif(
+needs_highs = pytest.mark.skipif(
     not highs_available(), reason="no HiGHS binding importable"
 )
 
@@ -42,33 +44,30 @@ def system():
     return two_station()
 
 
+@needs_highs
 class TestDiscovery:
     def test_impl_is_named_when_available(self):
-        assert highs_impl() in ("highspy", "scipy-vendored")
+        assert highs_impl() == "scipy-vendored"
 
-    def test_auto_prefers_highs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP_BACKEND", raising=False)
-        assert resolve_backend("auto") == "highs"
+    def test_auto_prefers_highs(self, system):
+        _, _, sys_c = system
+        assert isinstance(make_lp_engine(sys_c), PersistentLP)
+        assert make_lp_engine(sys_c, backend="highs").backend == "highs"
+        assert make_lp_engine(sys_c, backend="scipy").backend == "scipy"
 
-    def test_env_overrides_auto_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_BACKEND", "scipy")
-        assert resolve_backend("auto") == "scipy"
-        # explicit argument beats the environment
-        assert resolve_backend("highs") == "highs"
-
-    def test_unknown_backend_rejected(self):
+    def test_unknown_backend_rejected(self, system):
+        _, _, sys_c = system
         with pytest.raises(ValueError):
-            resolve_backend("gurobi")
+            make_lp_engine(sys_c, backend="gurobi")
 
-    def test_forced_highs_raises_without_binding(self, monkeypatch):
-        import repro.core.lpbackend as mod
-
-        monkeypatch.setattr(mod, "_HIGHS_MOD", None)
+    def test_forced_highs_raises_without_binding(self, system, monkeypatch):
+        _, _, sys_c = system
+        monkeypatch.setattr(lpbackend, "_HIGHS_MOD", None)
+        assert highs_impl() is None
         with pytest.raises(SolverError, match="highs"):
-            mod.resolve_backend("highs")
+            make_lp_engine(sys_c, backend="highs")
         # auto degrades silently instead
-        monkeypatch.delenv("REPRO_LP_BACKEND", raising=False)
-        assert mod.resolve_backend("auto") == "scipy"
+        assert isinstance(make_lp_engine(sys_c), StatelessLP)
 
 
 class TestChooseMethod:
@@ -77,6 +76,7 @@ class TestChooseMethod:
         assert choose_lp_method(_IPM_THRESHOLD + 1) == "highs-ipm"
 
 
+@needs_highs
 class TestPersistentSolves:
     def test_matches_stateless_scipy(self, system):
         net, vi, sys_c = system
@@ -106,7 +106,7 @@ class TestPersistentSolves:
         c = throughput_metric(net, vi, 0).dense(sys_c.n_variables)
         lo = plp.solve(c.copy(), "min")
         hi = plp.solve(c.copy(), "max", reuse_basis=True)
-        assert not lo.warm_started and hi.warm_started
+        assert not lo.reused_basis and hi.reused_basis
         cold_hi = PersistentLP(sys_c).solve(c.copy(), "max")
         assert hi.value == pytest.approx(cold_hi.value, abs=1e-9)
         assert lo.value <= hi.value + 1e-9
@@ -118,15 +118,23 @@ class TestPersistentSolves:
         plp.solve(c.copy(), "min")
         info = plp.solve(c.copy(), "max", reuse_basis=True)
         # IPM ignores start bases; the request must not be misreported
-        assert not info.warm_started
+        assert not info.reused_basis
         assert info.method_used == "highs-ipm"
 
     def test_rejects_bad_inputs(self, system):
-        _, _, sys_c = system
+        net, vi, sys_c = system
         with pytest.raises(ValueError):
             PersistentLP(sys_c, method="simplex-dual")
         with pytest.raises(ValueError):
             PersistentLP(sys_c).solve(None, "upward")
+        # a linprog-only method is no way round the check: both engines
+        # accept auto/highs/highs-ipm and nothing else
+        for backend in ("auto", "scipy"):
+            with pytest.raises(ValueError, match="highs-ds"):
+                optimize_metric(
+                    sys_c, throughput_metric(net, vi, 0), "min",
+                    method="highs-ds", backend=backend,
+                )
 
     def test_retry_ladder_reports_fallbacks(self, system, monkeypatch):
         net, vi, sys_c = system
@@ -159,77 +167,70 @@ class TestPersistentSolves:
             plp.solve(np.zeros(sys_c.n_variables), "min")
 
 
-class TestBasisMapping:
-    def test_snapshot_roundtrip_identity(self, system):
+class _FlakyLinprog:
+    """``linprog`` that fails its first ``n_fail`` calls, then answers."""
+
+    def __init__(self, n_fail: int) -> None:
+        self.n_fail = n_fail
+        self.calls: list[tuple[str, "dict | None"]] = []
+
+    def __call__(self, c, **kwargs):
+        self.calls.append((kwargs["method"], kwargs["options"]))
+        if len(self.calls) <= self.n_fail:
+            return OptimizeResult(
+                success=False, status=2, message="stub: infeasible",
+                fun=None, x=None, nit=0,
+            )
+        return linprog(c, **kwargs)
+
+
+class TestStatelessLadder:
+    """The stateless engine walks the same ladder and counts it the same way."""
+
+    def test_two_failed_steps_count_one_fallback(self, system, monkeypatch):
+        net, _, _ = system
+        ref = BatchLPSolver(net, backend="scipy", method="highs").bound_specs(
+            ("system_throughput",)
+        )["system_throughput"]
+        stub = _FlakyLinprog(n_fail=2)
+        monkeypatch.setattr(lpbackend, "linprog", stub)
+        tele = obs.Telemetry()
+        with obs.use(tele):
+            solver = BatchLPSolver(net, backend="scipy", method="highs")
+            got = solver.bound_specs(("system_throughput",))["system_throughput"]
+        # min: simplex, IPM, then simplex with presolve off; max: first try
+        assert stub.calls == [
+            ("highs", None),
+            ("highs-ipm", None),
+            ("highs", {"presolve": False}),
+            ("highs", None),
+        ]
+        assert solver.n_fallbacks == 1  # one solve needed the ladder
+        assert tele.snapshot().counters["lp.retry_step"] == 2
+        assert tele.snapshot().counters["lp.fallbacks"] == 1
+        [fell_back] = [
+            sp for sp in tele.roots
+            if sp.name == "lp.solve" and "method_used" in sp.attributes
+        ]
+        assert fell_back.attributes["sense"] == "min"
+        assert fell_back.attributes["method_used"] == "highs"
+        assert got.lower == pytest.approx(ref.lower, abs=1e-9)
+        assert got.upper == pytest.approx(ref.upper, abs=1e-9)
+
+    def test_engine_reports_the_step_that_answered(self, system, monkeypatch):
         net, vi, sys_c = system
-        plp = PersistentLP(sys_c)
-        c = throughput_metric(net, vi, 0).dense(sys_c.n_variables)
-        cold = plp.solve(c.copy(), "min")
-        snap = plp.basis_snapshot()
-        assert snap is not None
-        col, row = snap
-        assert len(col) == sys_c.n_variables
-
-        # identity map (same shape both sides) must preserve the basis
-        shape = model_shape(sys_c)
-        mcol, mrow = map_basis_snapshot(shape, col, row, shape)
-        np.testing.assert_array_equal(mcol, col)
-        np.testing.assert_array_equal(mrow, row)
-
-        # restarting from one's own optimal basis converges immediately
-        fresh = PersistentLP(sys_c)
-        warm = fresh.solve(
-            c.copy(), "min", warm_basis=fresh.make_basis(mcol, mrow)
+        monkeypatch.setattr(lpbackend, "linprog", _FlakyLinprog(n_fail=1))
+        info = StatelessLP(sys_c, method="highs").solve(
+            throughput_metric(net, vi, 0).dense(sys_c.n_variables), "max"
         )
-        assert warm.warm_started
-        assert warm.value == pytest.approx(cold.value, abs=1e-9)
-        assert warm.n_iterations <= cold.n_iterations
+        assert info.n_fallbacks == 1
+        assert info.method_used == "highs-ipm"  # the alternate algorithm
+        assert not info.reused_basis
 
-    def test_cross_population_warm_start_agrees(self):
-        net5, vi5, sys5 = two_station(5)
-        net6, vi6, sys6 = two_station(6)
-        plp5 = PersistentLP(sys5)
-        plp5.solve(
-            throughput_metric(net5, vi5, 0).dense(sys5.n_variables), "min"
-        )
-        col, row = plp5.basis_snapshot()
-        mcol, mrow = map_basis_snapshot(
-            model_shape(sys5), col, row, model_shape(sys6)
-        )
-        assert len(mcol) == sys6.n_variables
-
-        plp6 = PersistentLP(sys6)
-        c6 = throughput_metric(net6, vi6, 0).dense(sys6.n_variables)
-        warm = plp6.solve(c6.copy(), "min", warm_basis=plp6.make_basis(mcol, mrow))
-        cold = PersistentLP(sys6).solve(c6.copy(), "min")
-        assert warm.warm_started
-        assert warm.value == pytest.approx(cold.value, abs=1e-9)
-
-
-class TestLineageStore:
-    def test_store_lookup_roundtrip(self, system):
+    def test_exhausted_ladder_raises(self, system, monkeypatch):
         _, _, sys_c = system
-        store = LPLineageStore()
-        shape = model_shape(sys_c)
-        col = np.zeros(shape.n_variables, dtype=np.int8)
-        row = np.ones(len(shape.row_lut), dtype=np.int8)
-        assert store.lookup("topo", "throughput[0]", "min") is None
-        store.store("topo", "throughput[0]", "min", shape, col, row)
-        hit = store.lookup("topo", "throughput[0]", "min")
-        assert hit is not None and hit[0] is shape
-        assert store.lookup("topo", "throughput[0]", "max") is None
-
-    def test_lru_evicts_oldest_topology(self, system):
-        _, _, sys_c = system
-        store = LPLineageStore(maxsize=2)
-        shape = model_shape(sys_c)
-        col = np.zeros(shape.n_variables, dtype=np.int8)
-        row = np.ones(len(shape.row_lut), dtype=np.int8)
-        for key in ("t1", "t2", "t3"):
-            store.store(key, "m", "min", shape, col, row)
-        assert len(store) == 2
-        assert store.lookup("t1", "m", "min") is None
-        assert store.lookup("t3", "m", "min") is not None
-
-    def test_process_store_is_shared(self):
-        assert get_lp_lineage_store() is get_lp_lineage_store()
+        stub = _FlakyLinprog(n_fail=10**6)
+        monkeypatch.setattr(lpbackend, "linprog", stub)
+        with pytest.raises(SolverError, match="after 2 retries"):
+            StatelessLP(sys_c).solve(np.zeros(sys_c.n_variables), "min")
+        assert len(stub.calls) == 3

@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 
 from repro.obs.history import Ledger
-from repro.obs.sentinel import check_artifact, check_baseline_gates
+from repro.obs.sentinel import (
+    ASSEMBLY_SPEEDUP_GATE,
+    INSTRUMENTATION_OVERHEAD_GATE,
+    LP_PERSISTENT_SWEEP_GATE,
+    check_artifact,
+    check_baseline_gates,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -203,11 +209,10 @@ class TestBaselineGates:
     def test_lp_large_warm_start_evidence_required(self, tmp_path):
         entries = [
             {"case": "lp_scaling", "method_used": "lp", "lp_iterations": 10},
-            {"case": "assembly_speedup", "t_assembly_vectorized_s": 0.1},
-            {"case": "lp_persistent", "cold_iterations": 5, "warm_iterations": 2},
+            {"case": "assembly_speedup", "speedup": 6.0},
+            {"case": "lp_persistent", "cold_iterations": 5, "warm_iterations": 0},
             {"case": "lp_persistent_sweep", "sweep_speedup": 4.0},
-            {"case": "lp_warm_iterations", "iterations_cold": 100,
-             "iterations_warm": 99},
+            {"case": "instrumentation_overhead", "overhead_frac": 0.01},
         ]
         large = write(
             tmp_path / "BENCH_lp_scaling.json",
@@ -215,9 +220,34 @@ class TestBaselineGates:
         )
         report = check_baseline_gates(large)
         assert not report.ok
-        assert "warm-start" in report.regressions[0]
+        assert "lacks iteration evidence" in report.regressions[0]
         quick = write(
             tmp_path / "BENCH_lp_scaling.quick.json",
             artifact("lp_scaling", "quick", entries),
         )
         assert check_baseline_gates(quick).ok
+
+    def test_lp_large_thresholds_enforced(self, tmp_path):
+        entries = [
+            {"case": "lp_scaling", "method_used": "lp", "lp_iterations": 10},
+            {"case": "assembly_speedup", "speedup": ASSEMBLY_SPEEDUP_GATE - 0.1},
+            {"case": "lp_persistent", "cold_iterations": 5, "warm_iterations": 2},
+            {"case": "lp_persistent_sweep",
+             "sweep_speedup": LP_PERSISTENT_SWEEP_GATE - 0.1},
+            {"case": "instrumentation_overhead",
+             "overhead_frac": INSTRUMENTATION_OVERHEAD_GATE + 0.01},
+        ]
+        large = write(
+            tmp_path / "BENCH_lp_scaling.json",
+            artifact("lp_scaling", "large", entries),
+        )
+        fails = check_baseline_gates(large).regressions
+        assert len(fails) == 3
+        assert any("persistent sweep speedup" in m for m in fails)
+        assert any("assembly speedup" in m for m in fails)
+        assert any("instrumentation overhead" in m for m in fails)
+        quick = write(
+            tmp_path / "BENCH_lp_scaling.quick.json",
+            artifact("lp_scaling", "quick", entries),
+        )
+        assert check_baseline_gates(quick).ok  # timing gates are large-only

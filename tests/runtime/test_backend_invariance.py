@@ -84,13 +84,20 @@ class TestCacheSharing:
         assert payload_bytes(dense) == payload_bytes(op)
 
     def test_disk_tier_replay_across_registries(self, tmp_path, tandem):
-        SolverRegistry(cache=ResultCache(directory=tmp_path)).solve(
-            tandem, "exact", backend="operator"
-        )
-        fresh = SolverRegistry(cache=ResultCache(directory=tmp_path))
-        replay = fresh.solve(tandem, "exact", backend="dense")
-        assert replay.extra["cache_hit"] is True
-        assert replay.extra["cache_tier"] == "disk"
+        """A fresh registry replays from disk under the other backend label."""
+        lp_opts = {"metrics": ("throughput[0]", "system_throughput")}
+        for method, fill, other, opts in (
+            ("exact", "operator", "dense", {}),
+            ("lp", "auto", "scipy", lp_opts),
+        ):
+            first = SolverRegistry(cache=ResultCache(directory=tmp_path)).solve(
+                tandem, method, backend=fill, **opts
+            )
+            fresh = SolverRegistry(cache=ResultCache(directory=tmp_path))
+            replay = fresh.solve(tandem, method, backend=other, **opts)
+            assert replay.extra["cache_hit"] is True, method
+            assert replay.extra["cache_tier"] == "disk", method
+            assert payload_bytes(replay) == payload_bytes(first), method
 
 
 class TestProvenance:
@@ -147,6 +154,23 @@ class TestLPBackendInvariance:
         res = registry.solve(tandem, "lp", metrics=self.METRICS, backend="scipy")
         assert res.extra["backend"] == "scipy"
         assert "backend" not in res.to_dict().get("extra", {})
+
+    def test_auto_without_binding_is_the_scipy_engine(self, monkeypatch, tandem):
+        """With no HiGHS binding, ``auto`` is the stateless engine, bit for bit."""
+        import repro.core.lpbackend as lpbackend
+
+        want = SolverRegistry(cache=None).solve(
+            tandem, "lp", metrics=self.METRICS, backend="scipy"
+        )
+        monkeypatch.setattr(lpbackend, "_HIGHS_MOD", None)
+        got = SolverRegistry(cache=None).solve(
+            tandem, "lp", metrics=self.METRICS, backend="auto"
+        )
+        assert got.extra["backend"] == "scipy"
+        # Interval equality compares the floats exactly: bit for bit
+        assert got.throughput == want.throughput
+        assert got.system_throughput == want.system_throughput
+        assert got.extra["lp_iterations"] == want.extra["lp_iterations"]
 
     def test_fresh_lp_answers_agree(self, tmp_path, tandem):
         results = {}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import solve_bounds
-from repro.core.lpbackend import get_lp_lineage_store, highs_available
+from repro.core.lpbackend import highs_available
 from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
 from repro.runtime.batch import BatchLPSolver, expand_metric_specs
@@ -87,12 +87,6 @@ class TestBatchBounds:
 
 @pytest.mark.skipif(not highs_available(), reason="no HiGHS binding")
 class TestPersistentBackend:
-    @pytest.fixture(autouse=True)
-    def _clean_lineage(self):
-        get_lp_lineage_store().clear()
-        yield
-        get_lp_lineage_store().clear()
-
     def test_backends_agree_on_standard_bounds(self, net):
         highs = BatchLPSolver(net, backend="highs")
         scipy_ = BatchLPSolver(net, backend="scipy")
@@ -110,38 +104,5 @@ class TestPersistentBackend:
         assert solver.n_solves == 4
         # each metric's max solve rides the basis its min solve left
         assert solver.n_basis_reuse == 2
-        assert solver.n_warm_starts == 0  # nothing in the lineage yet
+        assert solver.n_warm_starts == 0  # constant: payload compatibility
         assert solver.n_iterations > 0
-
-    def test_lineage_warm_starts_next_population(self, net):
-        first = BatchLPSolver(net, backend="highs")
-        first.bound_specs(("system_throughput",))
-        assert len(get_lp_lineage_store()) == 1
-
-        second = BatchLPSolver(net.with_population(5), backend="highs")
-        out = second.bound_specs(("system_throughput",))
-        assert second.n_warm_starts >= 1
-        cold = BatchLPSolver(
-            net.with_population(5), backend="scipy"
-        ).bound_specs(("system_throughput",))
-        assert out["system_throughput"].lower == pytest.approx(
-            cold["system_throughput"].lower, abs=1e-9
-        )
-        assert out["system_throughput"].upper == pytest.approx(
-            cold["system_throughput"].upper, abs=1e-9
-        )
-
-    def test_warm_start_opt_out(self, net):
-        BatchLPSolver(net, backend="highs").bound_specs(("system_throughput",))
-        opted_out = BatchLPSolver(
-            net.with_population(5), backend="highs", warm_start=False
-        )
-        opted_out.bound_specs(("system_throughput",))
-        assert opted_out.n_warm_starts == 0
-
-    def test_explicit_ipm_skips_lineage(self, net):
-        solver = BatchLPSolver(net, backend="highs", method="highs-ipm")
-        solver.bound_specs(("system_throughput",))
-        assert solver.method == "highs-ipm"
-        # IPM ignores bases: no lineage entry may be written
-        assert len(get_lp_lineage_store()) == 0

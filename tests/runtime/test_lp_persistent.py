@@ -1,16 +1,16 @@
-"""Population sweeps on the persistent LP backend: warm yet exact.
+"""Population sweeps on the persistent LP engine agree with stateless scipy.
 
-The cross-N basis lineage (see :mod:`repro.core.lpbackend`) makes every
-sweep point after the first start from the previous point's mapped
-optimal basis.  Warm starts change iteration counts, never optima, so a
-warm sweep must agree with a cold (lineage-disabled) one to LP tolerance
-— serially and across worker processes.
+Each sweep point builds its own persistent HiGHS model, and the max of
+every min/max pair starts from the basis its min left (see
+:mod:`repro.core.lpbackend`).  Basis reuse changes iteration counts, never
+optima, so a persistent sweep must agree with a stateless one to LP
+tolerance, and serial and parallel sweeps must give the same bounds.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.lpbackend import get_lp_lineage_store, highs_available
+from repro.core.lpbackend import highs_available
 from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
 from repro.runtime import SolverRegistry
@@ -26,13 +26,11 @@ METRICS = ("throughput[0]", "queue_length[1]", "system_throughput")
 
 @pytest.fixture()
 def base_net():
-    get_lp_lineage_store().clear()
-    yield ClosedNetwork(
+    return ClosedNetwork(
         [queue("a", fit_map2(1.0, 4.0, 0.4)), queue("b", exponential(1.4))],
         np.array([[0.0, 1.0], [1.0, 0.0]]),
         POPULATIONS[0],
     )
-    get_lp_lineage_store().clear()
 
 
 def _sweep(base_net, workers: int, **opts) -> list:
@@ -44,44 +42,33 @@ def _sweep(base_net, workers: int, **opts) -> list:
     )
 
 
-def _assert_close(warm_results, cold_results, tol=1e-9):
-    for warm, cold in zip(warm_results, cold_results):
+def _assert_close(got_results, want_results, tol=1e-9):
+    for got, want in zip(got_results, want_results):
         for k, field in ((0, "throughput"), (1, "queue_length")):
-            w, c = getattr(warm, field)[k], getattr(cold, field)[k]
-            assert abs(w.lower - c.lower) <= tol, (field, k, w, c)
-            assert abs(w.upper - c.upper) <= tol, (field, k, w, c)
-        assert abs(warm.system_throughput.lower - cold.system_throughput.lower) <= tol
-        assert abs(warm.system_throughput.upper - cold.system_throughput.upper) <= tol
+            g, w = getattr(got, field)[k], getattr(want, field)[k]
+            assert abs(g.lower - w.lower) <= tol, (field, k, g, w)
+            assert abs(g.upper - w.upper) <= tol, (field, k, g, w)
+        assert abs(got.system_throughput.lower - want.system_throughput.lower) <= tol
+        assert abs(got.system_throughput.upper - want.system_throughput.upper) <= tol
 
 
 def test_serial_sweep_warm_starts_and_agrees(base_net):
-    warm = _sweep(base_net, workers=1, backend="highs")
-    # every point past the first warm-started from the lineage
-    assert all(r.extra["lp_warm_starts"] >= 1 for r in warm[1:])
-    assert all(r.extra["backend"] == "highs" for r in warm)
+    persistent = _sweep(base_net, workers=1, backend="highs")
+    # every max solve started from the basis its min solve left
+    assert all(r.extra["lp_basis_reuse"] == len(METRICS) for r in persistent)
+    assert all(r.extra["lp_warm_starts"] == 0 for r in persistent)
+    assert all(r.extra["backend"] == "highs" for r in persistent)
 
-    get_lp_lineage_store().clear()
-    cold = _sweep(base_net, workers=1, backend="scipy")
-    assert all(r.extra["lp_warm_starts"] == 0 for r in cold)
-    _assert_close(warm, cold)
+    stateless = _sweep(base_net, workers=1, backend="scipy")
+    assert all(r.extra["lp_basis_reuse"] == 0 for r in stateless)
+    _assert_close(persistent, stateless)
 
 
 def test_parallel_sweep_agrees_with_serial(base_net):
     serial = _sweep(base_net, workers=1, backend="highs")
-    get_lp_lineage_store().clear()
     parallel = _sweep(base_net, workers=2, backend="highs")
-    _assert_close(parallel, serial)
-
-
-def test_lineage_shared_across_registry_solves(base_net):
-    """Registry solves (not just one BatchLPSolver) chain the lineage."""
-    registry = SolverRegistry(cache=None)
-    first = registry.solve(base_net, "lp", metrics=METRICS, backend="highs")
-    assert first.extra["lp_warm_starts"] == 0
-    second = registry.solve(
-        base_net.with_population(4), "lp", metrics=METRICS, backend="highs"
-    )
-    assert second.extra["lp_warm_starts"] >= 1
+    # every point solves alone, so the executor cannot move an answer
+    _assert_close(parallel, serial, tol=0.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -104,7 +91,6 @@ CATALOG_N = 4
 def test_catalog_backends_agree(name):
     """Persistent HiGHS and stateless scipy answer every catalog scenario
     identically to 1e-9 — the acceptance bar of the backend swap."""
-    get_lp_lineage_store().clear()
     net = get_scenario(name).network(population=CATALOG_N)
     registry = SolverRegistry(cache=None)
     specs = ("throughput[0]", "queue_length[0]", "system_throughput")

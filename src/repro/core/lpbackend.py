@@ -12,6 +12,14 @@ of them per model.  Two engines answer those solves, with one interface,
     pair restarts primal simplex from the basis the min left
     (``reuse_basis=True``).  It runs on the HiGHS binding scipy >= 1.15
     vendors for its own ``linprog`` (a private module, hence the fallback).
+    A cold solve does not depend on what the engine solved before: every
+    attempt clears the basis and sets each option it uses (serial dual
+    simplex when cold, primal on reuse), and the model runs once on the
+    zero objective when it is built, since HiGHS fixes part of a model's
+    numerics at its first run.  So engines over one system give the same
+    bits in any order, which lets ``BatchLPSolver.bound_specs`` hand the
+    pairs of one model to several engines on threads.  An engine is not
+    thread-safe: one thread drives it at a time.
 
 ``StatelessLP``
     one ``scipy.optimize.linprog`` call per solve; nothing is kept between
@@ -63,8 +71,10 @@ __all__ = [
 #: 6x-slower simplex path).
 _IPM_THRESHOLD = 1_000
 
-#: HiGHS ``simplex_strategy`` values: let HiGHS choose (dual) vs primal.
-_SIMPLEX_STRATEGY_CHOOSE = 0
+#: HiGHS ``simplex_strategy`` values, set on every attempt: serial dual
+#: simplex (HiGHS 1.12's default, so the first and every later cold solve
+#: of an engine run alike) vs primal (the max of a min/max pair).
+_SIMPLEX_STRATEGY_DUAL = 1
 _SIMPLEX_STRATEGY_PRIMAL = 4
 
 _METHODS = ("auto", "highs", "highs-ipm")
@@ -226,6 +236,14 @@ class PersistentLP(_LPEngine):
         self._h = _HIGHS_CLS()
         self._h.setOptionValue("output_flag", False)
         self._h.passModel(self._build_model())
+        # HiGHS fixes part of a model's numerics at its first run(), from the
+        # objective it holds then: a fresh model and one that first ran
+        # another objective answer the same solve a few ulps apart.  A
+        # zero-time run on the zero objective fixes it here, once, so every
+        # engine answers alike whatever it solves first.
+        self._h.setOptionValue("time_limit", 0.0)
+        self._h.run()
+        self._h.setOptionValue("time_limit", float("inf"))
         obs.get_telemetry().counter("lp.model_rebuild")
 
     def _build_model(self):
@@ -272,19 +290,19 @@ class PersistentLP(_LPEngine):
         return reuse_basis and self._have_basis and self.method == "highs"
 
     def _attempt(self, method: str, presolve: bool, reuse: bool) -> bool:
+        # Every option an attempt depends on is set here, so a cold attempt
+        # runs the same whatever this engine solved before.
         if not reuse:
             self._h.clearSolver()  # cold: drop any stale basis/solution
         self._h.setOptionValue(
             "solver", "ipm" if method == "highs-ipm" else "simplex"
         )
         self._h.setOptionValue("presolve", "on" if presolve else "off")
-        if not reuse:
-            return self._run_ok()
-        self._h.setOptionValue("simplex_strategy", _SIMPLEX_STRATEGY_PRIMAL)
-        try:
-            return self._run_ok()
-        finally:
-            self._h.setOptionValue("simplex_strategy", _SIMPLEX_STRATEGY_CHOOSE)
+        self._h.setOptionValue(
+            "simplex_strategy",
+            _SIMPLEX_STRATEGY_PRIMAL if reuse else _SIMPLEX_STRATEGY_DUAL,
+        )
+        return self._run_ok()
 
     def _run_ok(self) -> bool:
         self._h.run()

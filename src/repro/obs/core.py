@@ -730,17 +730,35 @@ class use:
     ``with obs.use(tele): ...`` scopes collection to the block — sweep
     workers use this so a profiled solve never leaks an enabled telemetry
     into later, unprofiled work on the same process.
+
+    ``parent`` hands a span across a thread boundary: a worker thread that
+    enters ``obs.use(tele, parent=caller_span)`` opens its spans as
+    children of ``caller_span`` (the caller's
+    :meth:`Telemetry.current_span`) instead of as new roots.  ``None``
+    (all the disabled telemetry's ``current_span`` returns) leaves the
+    span stack alone.
     """
 
-    def __init__(self, telemetry: "Telemetry | NullTelemetry") -> None:
+    def __init__(
+        self,
+        telemetry: "Telemetry | NullTelemetry",
+        parent: "Span | None" = None,
+    ) -> None:
         self._telemetry = telemetry
+        self._parent = parent
         self._previous: "Telemetry | NullTelemetry | None" = None
 
     def __enter__(self) -> "Telemetry | NullTelemetry":
         self._previous = getattr(_state, "active", None)
         _state.active = self._telemetry
+        if self._parent is not None:
+            self._telemetry._stack().append(self._parent)
         return self._telemetry
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        if self._parent is not None:
+            stack = self._telemetry._stack()
+            if stack and stack[-1] is self._parent:
+                stack.pop()
         _state.active = self._previous
         return False

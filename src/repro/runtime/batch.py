@@ -25,6 +25,20 @@ and the max of each min/max pair restarts primal simplex from the min's
 optimal basis.  Telemetry counters ``lp.model_rebuild`` and
 ``lp.basis_reuse`` make each reuse visible.
 
+The pairs of one model are independent, so :meth:`BatchLPSolver.bound_specs`
+solves them on ``min(n_pairs, usable cores)`` threads (the process's CPU
+affinity, split between the worker processes of a parallel sweep; no
+option).  A pair is the unit of work: each thread drives one engine of its
+own over the shared constraint system, the calling thread the solver's own
+engine, and solves whole pairs, the min cold and the max from the min's
+basis; :meth:`BatchLPSolver.bound` is the one-pair case.  HiGHS releases
+the GIL in ``run()``, so on two cores the benchmark's LP cells solve in
+~0.56x the one-thread time.  A cold solve does not depend on the engine's
+history, so every bound, iteration count and reuse count equals the
+one-thread run bit for bit.  ``solve_time_s`` is the wall time of the
+solves; ``lp.solve`` spans from the pair threads nest under the caller's
+span (``obs.use(..., parent=)``).
+
 Metric requests use compact string specs::
 
     "utilization[2]"       bound U of station 2
@@ -37,12 +51,16 @@ Metric requests use compact string specs::
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
+
 import numpy as np
 
 from repro import obs
 from repro.core.assembly import AssemblyCache, get_assembly_cache
 from repro.core.bounds import BoundsResult, Interval
-from repro.core.lpbackend import make_lp_engine
+from repro.core.lpbackend import LPRunInfo, make_lp_engine
 from repro.core.objectives import (
     LinearMetric,
     queue_length_metric,
@@ -57,6 +75,60 @@ __all__ = ["BatchLPSolver", "expand_metric_specs"]
 
 _STATION_METRICS = ("utilization", "throughput", "queue_length")
 _SCALAR_METRICS = ("system_throughput", "response_time")
+
+
+#: processes splitting this one's cores: the worker count of the parallel
+#: sweep this process solves points for (:func:`_share_cores`), else 1
+_core_sharers = 1
+
+
+def _share_cores(workers: int) -> None:
+    """Worker-process initializer of a parallel sweep: ``workers``
+    processes split the usable cores, so all their pair threads together
+    fit the cores once (``repro.runtime.sweep``)."""
+    global _core_sharers
+    _core_sharers = max(1, workers)
+
+
+def _usable_cores() -> int:
+    """Cores this process's pair threads may use: its CPU affinity (else
+    the CPU count), split evenly between the processes of a parallel sweep."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return max(1, cores // _core_sharers)
+
+
+def _solve(engine, c: np.ndarray, sense: str, name: str, reuse: bool) -> LPRunInfo:
+    """One engine solve inside an ``lp.solve`` span that counts its work."""
+    with obs.get_telemetry().span("lp.solve", metric=name, sense=sense) as span:
+        info = engine.solve(c, sense, reuse_basis=reuse)
+        span.count("lp.solves")
+        span.count("lp.iterations", info.n_iterations)
+        if info.reused_basis:
+            span.count("lp.basis_reuse")
+        if info.n_fallbacks:
+            span.count("lp.fallbacks")
+            span.set("method_used", info.method_used)
+    return info
+
+
+def _interval(lo: float, hi: float) -> Interval:
+    if lo > hi:  # round-off on a degenerate (point) interval
+        lo, hi = hi, lo
+    return Interval(lower=lo, upper=hi)
+
+
+def _solve_pair(engine, metric: LinearMetric, c: np.ndarray):
+    """One metric's ``(Interval, min info, max info)`` on one engine.
+
+    The min runs cold and the max restarts from the basis the min left:
+    the kept basis is primal feasible only for the same objective.
+    """
+    lo = _solve(engine, c, "min", metric.name, reuse=False)
+    hi = _solve(engine, c, "max", metric.name, reuse=True)
+    return _interval(lo.value + metric.constant, hi.value + metric.constant), lo, hi
 
 
 def expand_metric_specs(specs, n_stations: int) -> list[str]:
@@ -130,11 +202,12 @@ class BatchLPSolver:
             span.set("plan_from_cache", self.plan_from_cache)
             span.set("n_variables", int(self.system.n_variables))
         self._engine = make_lp_engine(self.system, method, backend)
+        #: one engine per pair thread; engine 0 also serves the serial calls
+        self._engines = [self._engine]
         #: "highs" (persistent model) or "scipy" (stateless linprog)
         self.backend = self._engine.backend
         #: resolved method of every solve: "highs" or "highs-ipm"
         self.method = self._engine.method
-        self._last_metric: str | None = None
         self.n_solves = 0
         self.n_fallbacks = 0  # solves that needed the retry ladder
         #: always 0: no solve starts from another model's basis; the lp
@@ -142,49 +215,32 @@ class BatchLPSolver:
         self.n_warm_starts = 0
         self.n_basis_reuse = 0  # min/max pair solves off the kept basis
         self.n_iterations = 0  # simplex + ipm + crossover, all solves
+        #: wall time of the solves (``bound_specs`` pairs overlap on threads)
         self.solve_time_s = 0.0
         #: canonical metric spec -> (metric, dense coefficient vector)
         self._dense_cache: dict[str, tuple[LinearMetric, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
     def optimize(self, metric: LinearMetric, sense: str) -> float:
-        """Optimal value of one metric in one direction."""
+        """Optimal value of one metric in one direction, solved cold."""
         c = metric.dense(self.system.n_variables)
-        return self._optimize_dense(c, sense, metric.name) + metric.constant
-
-    def _optimize_dense(self, c: np.ndarray, sense: str, name: str) -> float:
-        # The kept basis is only primal-feasible for the *same* metric (the
-        # min/max pair); across metrics it misleads the solver.
-        reuse = self._last_metric == name
-        with obs.get_telemetry().span("lp.solve", metric=name, sense=sense) as span:
-            t0 = obs.clock()
-            info = self._engine.solve(c, sense, reuse_basis=reuse)
-            self._last_metric = name
-            self.solve_time_s += obs.clock() - t0
-            self.n_solves += 1
-            self.n_iterations += info.n_iterations
-            span.count("lp.solves")
-            span.count("lp.iterations", info.n_iterations)
-            if info.reused_basis:
-                self.n_basis_reuse += 1
-                span.count("lp.basis_reuse")
-            if info.n_fallbacks:
-                self.n_fallbacks += 1
-                span.count("lp.fallbacks")
-                span.set("method_used", info.method_used)
-        return info.value
+        t0 = obs.clock()
+        info = _solve(self._engine, c, sense, metric.name, reuse=False)
+        self.solve_time_s += obs.clock() - t0
+        self._tally(info)
+        return info.value + metric.constant
 
     def bound(self, metric: LinearMetric) -> Interval:
-        """[min, max] of one metric — one dense vector, two solves."""
-        c = metric.dense(self.system.n_variables)
-        return self._bound_dense(metric.name, c, metric.constant)
+        """[min, max] of one metric — one dense vector, one pair."""
+        (interval,) = self._run_pairs([(metric, metric.dense(self.system.n_variables))])
+        return interval
 
-    def _bound_dense(self, name: str, c: np.ndarray, constant: float) -> Interval:
-        lo = self._optimize_dense(c, "min", name) + constant
-        hi = self._optimize_dense(c, "max", name) + constant
-        if lo > hi:  # round-off on a degenerate (point) interval
-            lo, hi = hi, lo
-        return Interval(lower=lo, upper=hi)
+    def _tally(self, *infos: LPRunInfo) -> None:
+        for info in infos:
+            self.n_solves += 1
+            self.n_iterations += info.n_iterations
+            self.n_basis_reuse += info.reused_basis
+            self.n_fallbacks += info.n_fallbacks > 0
 
     # ------------------------------------------------------------------ #
     def _metric_for(self, spec: str, reference: int) -> LinearMetric:
@@ -212,19 +268,79 @@ class BatchLPSolver:
     def bound_specs(
         self, specs="standard", reference: int = 0
     ) -> dict[str, Interval]:
-        """Bound every requested metric; returns canonical-spec -> Interval."""
+        """Bound every requested metric; returns canonical-spec -> Interval.
+
+        The min/max pairs run concurrently (:meth:`_run_pairs`); bounds
+        and counters equal a one-thread run bit for bit.
+        """
         expanded = expand_metric_specs(specs, self.network.n_stations)
-        out: dict[str, Interval] = {}
-        for spec in expanded:
-            if spec == "response_time":
-                continue  # derived below
-            metric, c = self._dense_for(spec, reference)
-            out[spec] = self._bound_dense(metric.name, c, metric.constant)
+        solved = [spec for spec in expanded if spec != "response_time"]
+        pairs = [self._dense_for(spec, reference) for spec in solved]
+        out = dict(zip(solved, self._run_pairs(pairs)))
         if "response_time" in expanded:
             x = out["system_throughput"]
             N = self.network.population
             out["response_time"] = Interval(lower=N / x.upper, upper=N / x.lower)
         return out
+
+    def _run_pairs(self, pairs: list) -> list[Interval]:
+        """``_solve_pair`` over every ``(metric, c)``; intervals in input order.
+
+        The calling thread drains the queue of pairs on engine 0 while
+        ``min(n_pairs, usable cores) - 1`` threads drain it on engines of
+        their own (built once, kept for later calls); one pair or one core
+        runs inline.  A cold solve does not depend on its engine's history,
+        so which engine solves which pair does not move a bit.  Worker
+        spans nest under the caller's current span.  The first failing
+        pair in input order raises once every thread has been joined.
+        Adds the wall time to ``solve_time_s`` and every solve to the
+        counters.
+        """
+        t0 = obs.clock()
+        n_threads = min(len(pairs), _usable_cores())
+        while len(self._engines) < n_threads:
+            self._engines.append(type(self._engine)(self.system, self.method))
+        todo: queue.SimpleQueue = queue.SimpleQueue()
+        for i in range(len(pairs)):
+            todo.put(i)
+        results: list = [None] * len(pairs)
+
+        def drain(engine) -> None:
+            while True:
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
+                    return
+                try:
+                    results[i] = _solve_pair(engine, *pairs[i])
+                except Exception as exc:  # re-raised below, in input order
+                    results[i] = exc
+
+        tele = obs.get_telemetry()
+        parent = tele.current_span()
+
+        def worker(engine) -> None:
+            with obs.use(tele, parent=parent):
+                drain(engine)
+
+        threads = [
+            threading.Thread(target=worker, args=(engine,), daemon=True)
+            for engine in self._engines[1:n_threads]
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            drain(self._engine)
+        finally:
+            for thread in threads:
+                thread.join()
+        self.solve_time_s += obs.clock() - t0
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+        for _, lo, hi in results:
+            self._tally(lo, hi)
+        return [interval for interval, _, _ in results]
 
     def standard_bounds(self, reference: int = 0) -> BoundsResult:
         """Drop-in equivalent of :func:`repro.core.bounds.solve_bounds`."""

@@ -16,9 +16,14 @@ Workers build their own :class:`~repro.runtime.registry.SolverRegistry`
 pointing at the *same* disk cache directory, so a re-run of a sweep is
 served from disk without recomputation regardless of worker count.
 
-LP points solve independently: each builds its own persistent HiGHS model,
+LP points solve independently: each builds its own persistent HiGHS models,
 so serial and parallel LP sweeps give the same bounds point for point
-(asserted in ``tests/runtime/test_lp_persistent.py``).
+(asserted in ``tests/runtime/test_lp_persistent.py``).  Inside a point,
+:meth:`~repro.runtime.batch.BatchLPSolver.bound_specs` also runs the
+min/max pairs on one thread per usable core.  A parallel sweep's worker
+processes split the cores between them (each gets ``cores // workers``
+pair threads, at least one), so a sweep runs about one solver thread per
+core (at most ``max(cores, workers)``), never ``workers x cores``.
 
 Run ``python -m repro.runtime.sweep --help`` for a CLI demonstration on the
 paper's Figure 5 case-study network.
@@ -35,6 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.network.model import Network
+from repro.runtime.batch import _share_cores
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.fingerprint import fingerprint_sweep
 from repro.runtime.registry import SolveResult, SolverRegistry
@@ -309,7 +315,9 @@ class SweepRunner:
                     (net, method, o, self.cache_dir, tele.enabled)
                     for net, o in zip(networks, per_point_opts)
                 ]
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                with ProcessPoolExecutor(
+                    max_workers=workers, initializer=_share_cores, initargs=(workers,)
+                ) as pool:
                     futures = [pool.submit(_solve_point, p) for p in payloads]
                     results = []
                     # Consume futures in input order, absorbing each

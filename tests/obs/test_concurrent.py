@@ -101,6 +101,41 @@ class TestThreadedTraceRoundTrip:
         assert tele.snapshot().counters["contended"] == n * per
 
 
+class TestSpanHandover:
+    N_THREADS = 4
+
+    def test_worker_spans_nest_under_the_handed_parent(self):
+        tele = obs.Telemetry()
+        errors: list = []
+
+        def work(parent, i):
+            try:
+                with obs.use(tele, parent=parent):
+                    with obs.get_telemetry().span("work", i=i):
+                        obs.get_telemetry().counter("handover.steps")
+                # leaving the block hands the parent back: the stack is empty
+                assert tele.current_span() is None
+            except AssertionError as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        with obs.use(tele), tele.span("caller") as caller:
+            threads = [
+                threading.Thread(target=work, args=(caller, i))
+                for i in range(self.N_THREADS)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+                assert not t.is_alive()
+        assert errors == []
+        assert [r.name for r in tele.roots] == ["caller"]
+        assert sorted(c.attributes["i"] for c in caller.children) == list(
+            range(self.N_THREADS)
+        )
+        assert tele.snapshot().counters["handover.steps"] == self.N_THREADS
+
+
 class TestSweepLedgerParity:
     """Serial and parallel sweeps produce identical ledger records."""
 

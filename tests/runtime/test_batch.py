@@ -1,13 +1,19 @@
 """BatchLPSolver: one assembly, many bounds; metric-spec expansion."""
 
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core import solve_bounds
+import repro.obs as obs
+from repro.core import lpbackend, solve_bounds
 from repro.core.lpbackend import highs_available
 from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
+from repro.runtime import batch
 from repro.runtime.batch import BatchLPSolver, expand_metric_specs
+from repro.utils.errors import SolverError
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +84,14 @@ class TestBatchBounds:
             N / out["system_throughput"].upper
         )
 
+    def test_bound_and_optimize_match_bound_specs(self, net):
+        solver = BatchLPSolver(net)
+        want = solver.bound_specs(("throughput[0]",))["throughput[0]"]
+        metric, _ = solver._dense_for("throughput[0]", 0)
+        assert solver.bound(metric) == want  # the same pair function
+        assert solver.optimize(metric, "min") == want.lower  # cold, like the pair's min
+        assert (solver.n_solves, solver.n_basis_reuse) == (5, 2 * (solver.backend == "highs"))
+
     def test_triples_flag_tightens(self, net):
         wide = BatchLPSolver(net, triples=False).bound_specs(("system_throughput",))
         # two-station networks have no triples; flag must still be accepted
@@ -106,3 +120,96 @@ class TestPersistentBackend:
         assert solver.n_basis_reuse == 2
         assert solver.n_warm_starts == 0  # constant: payload compatibility
         assert solver.n_iterations > 0
+
+
+@pytest.fixture
+def workers_first(monkeypatch):
+    """Four usable cores; the calling thread's first pair waits until a
+    worker thread has finished one.  Returns metric name -> the error its
+    pair raised, in the order the pairs failed."""
+    monkeypatch.setattr(batch, "_usable_cores", lambda: 4)
+    caller = threading.current_thread()
+    worker_done = threading.Event()
+    failed: dict = {}
+    real = batch._solve_pair
+
+    def solve_pair(engine, metric, c):
+        if threading.current_thread() is caller:
+            assert worker_done.wait(10)
+            return real(engine, metric, c)
+        try:
+            return real(engine, metric, c)
+        except SolverError as exc:
+            failed[metric.name] = exc
+            raise
+        finally:
+            worker_done.set()
+
+    monkeypatch.setattr(batch, "_solve_pair", solve_pair)
+    return failed
+
+
+class TestPairPool:
+    def test_worker_spans_nest_and_counters_stay_exact(self, net, workers_first):
+        tele = obs.Telemetry()
+        with obs.use(tele), tele.span("caller"):
+            solver = BatchLPSolver(net)
+            solver.bound_specs("standard")
+        (root,) = tele.roots
+        assert [c.name for c in root.children].count("lp.solve") == solver.n_solves == 14
+        counters = tele.snapshot().counters
+        assert counters["lp.solves"] == solver.n_solves
+        assert counters["lp.iterations"] == solver.n_iterations
+        assert counters.get("lp.basis_reuse", 0) == solver.n_basis_reuse
+
+    def test_sweep_workers_split_the_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(
+            batch.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        )
+        monkeypatch.setattr(batch, "_core_sharers", 1)
+        assert batch._usable_cores() == 8
+        batch._share_cores(3)
+        assert batch._usable_cores() == 2
+        batch._share_cores(16)  # more workers than cores: one thread each
+        assert batch._usable_cores() == 1
+
+    def test_bounds_and_counts_equal_on_one_and_four_threads(self, net, monkeypatch):
+        runs = []
+        for cores in (1, 4):
+            monkeypatch.setattr(batch, "_usable_cores", lambda: cores)
+            solver = BatchLPSolver(net)
+            bounds = solver.bound_specs("standard")
+            runs.append((
+                bounds, solver.n_solves, solver.n_iterations,
+                solver.n_basis_reuse, solver.n_fallbacks,
+            ))
+        assert runs[0] == runs[1]
+
+    def test_failing_pair_raises_after_every_thread_joined(
+        self, net, workers_first, monkeypatch, tmp_path
+    ):
+        caller = threading.current_thread()
+        real = lpbackend.linprog
+
+        def linprog(*args, **kwargs):  # every attempt off the caller fails
+            if threading.current_thread() is caller:
+                return real(*args, **kwargs)
+            return SimpleNamespace(success=False, message="stub", status=4)
+
+        monkeypatch.setattr(lpbackend, "linprog", linprog)
+        solver = BatchLPSolver(net, backend="scipy")
+        specs = expand_metric_specs("standard", net.n_stations)
+        before = threading.active_count()
+        obs.enable_flight_recorder(directory=tmp_path)
+        try:
+            with pytest.raises(SolverError, match="after 2 retries") as excinfo:
+                solver.bound_specs("standard")
+        finally:
+            obs.disable_flight_recorder()
+        assert threading.active_count() == before
+        # the first failing pair in spec order, its dump written off-thread
+        order = [solver._dense_for(spec, 0)[0].name for spec in specs
+                 if spec != "response_time"]
+        first = min(workers_first, key=order.index)
+        assert excinfo.value is workers_first[first]
+        assert excinfo.value.trace_path is not None

@@ -7,7 +7,14 @@ on ``backend="scipy"``, and one fresh engine per ``optimize_metric`` call.
 A change to the engines, the retry ladder or the pair reuse that moves one
 bit of one bound fails here.  Other HiGHS builds differ in the last bits,
 so the goldens are compared only on the build they were recorded with.
+
+``bound_specs`` solves the min/max pairs on one thread per usable core;
+the standard bounds are checked with the core count patched to 1 (every
+pair inline on one engine) and to 4 (four engines on four threads, more
+than this suite's hosts have cores), and must equal the same goldens.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +26,7 @@ from repro.core.lpbackend import highs_available
 from repro.core.variables import VariableIndex
 from repro.maps import exponential, fit_map2
 from repro.network import Network, queue
+from repro.runtime import batch
 from repro.runtime.batch import BatchLPSolver
 from repro.scenarios import get_scenario
 
@@ -77,6 +85,15 @@ BOUNDS = {
     },
 }
 
+#: (scenario, population, method, backend) -> the solver's counters after
+#: the standard bounds: (n_solves, n_iterations, n_basis_reuse, n_fallbacks)
+COUNTS = {
+    ("fig5-case-study", 6, "auto", "auto"): (20, 5430, 10, 0),
+    ("tpcw", 5, "highs-ipm", "auto"): (20, 563, 0, 0),
+    ("bursty-tandem", 3, "auto", "auto"): (14, 51, 7, 0),
+    ("bursty-tandem", 3, "auto", "scipy"): (14, 0, 0, 0),
+}
+
 #: backend -> (min, max) of throughput[0] on the two-station network
 PAIR = {
     "auto": ("0x1.bbcd5422116b1p-1", "0x1.bbcd5422116b0p-1"),
@@ -84,8 +101,8 @@ PAIR = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BOUNDS), ids=lambda c: "-".join(map(str, c)))
-def test_standard_bounds_bit_identical(case):
+def _standard(case) -> "tuple[dict, tuple]":
+    """(spec -> hex bounds, counters) of one case's standard bounds."""
     name, population, method, backend = case
     net = get_scenario(name).network(population=population)
     solver = BatchLPSolver(net, method=method, backend=backend)
@@ -93,7 +110,41 @@ def test_standard_bounds_bit_identical(case):
         spec: (iv.lower.hex(), iv.upper.hex())
         for spec, iv in solver.bound_specs("standard").items()
     }
-    assert got == BOUNDS[case]
+    counts = (
+        solver.n_solves, solver.n_iterations, solver.n_basis_reuse, solver.n_fallbacks
+    )
+    return got, counts
+
+
+@pytest.mark.parametrize(
+    "case, cores",
+    [
+        pytest.param(
+            case, cores, id="-".join(map(str, case)) + ("" if cores == 1 else "-4-cores")
+        )
+        for case in sorted(BOUNDS)
+        for cores in (1, 4)
+    ],
+)
+def test_standard_bounds_bit_identical(case, cores, monkeypatch):
+    monkeypatch.setattr(batch, "_usable_cores", lambda: cores)
+    assert _standard(case) == (BOUNDS[case], COUNTS[case])
+
+
+def test_pair_pool_repeats_bit_identical(monkeypatch):
+    """Four threads, many schedules: every repeat lands on the goldens."""
+    monkeypatch.setattr(batch, "_usable_cores", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # more thread switches, more schedules
+    try:
+        for case, repeats in (
+            (("bursty-tandem", 3, "auto", "auto"), 10),
+            (("fig5-case-study", 6, "auto", "auto"), 2),
+        ):
+            for _ in range(repeats):
+                assert _standard(case) == (BOUNDS[case], COUNTS[case])
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("backend", sorted(PAIR))

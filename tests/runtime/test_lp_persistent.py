@@ -10,10 +10,11 @@ tolerance, and serial and parallel sweeps must give the same bounds.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.lpbackend import highs_available
 from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
-from repro.runtime import SolverRegistry
+from repro.runtime import SolverRegistry, batch
 from repro.runtime.sweep import SweepRunner
 
 pytestmark = pytest.mark.skipif(
@@ -69,6 +70,16 @@ def test_parallel_sweep_agrees_with_serial(base_net):
     parallel = _sweep(base_net, workers=2, backend="highs")
     # every point solves alone, so the executor cannot move an answer
     _assert_close(parallel, serial, tol=0.0)
+
+
+def test_parallel_sweep_workers_split_the_cores(base_net):
+    # each of the two worker processes gets half the usable cores for pair
+    # threads, and every pair thread builds one HiGHS model per point
+    threads = min(len(METRICS), max(1, batch._usable_cores() // 2))
+    tele = obs.Telemetry()
+    with obs.use(tele):
+        _sweep(base_net, workers=2, backend="highs")
+    assert tele.snapshot().counters["lp.model_rebuild"] == len(POPULATIONS) * threads
 
 
 # ---------------------------------------------------------------------- #

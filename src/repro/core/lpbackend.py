@@ -26,6 +26,10 @@ of them per model.  Two engines answer those solves, with one interface,
     solves.  It is the only engine when scipy's HiGHS binding does not
     import, and the reference the tests hold the persistent engine to.
 
+Neither engine's scipy code loads with this module: the binding probe
+(``_highs``, run once per process) and ``linprog`` are imported at first
+use, so a process that solves no LP never imports ``scipy.optimize``.
+
 :func:`make_lp_engine` is the one place the engine is chosen: the
 persistent one whenever the binding imports, unless ``backend="scipy"``
 asks for the stateless one.  Both engines resolve the method with
@@ -42,10 +46,10 @@ starts cut simplex iterations but not time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from repro import obs
 from repro.utils.errors import SolverError
@@ -102,8 +106,10 @@ def _ladder(method: str) -> "tuple[tuple[str, bool], ...]":
 # ---------------------------------------------------------------------- #
 # engine choice
 # ---------------------------------------------------------------------- #
-def _load_highs():
-    """(module, Highs class) of the HiGHS binding scipy vendors, or Nones."""
+@cache
+def _highs():
+    """(module, Highs class) of the HiGHS binding scipy vendors, or Nones;
+    probed on the first call only."""
     try:
         # scipy >= 1.15 vendors HiGHS's pybind11 binding for its own
         # linprog at a private location — hence the stateless fallback.
@@ -114,12 +120,9 @@ def _load_highs():
         return None, None
 
 
-_HIGHS_MOD, _HIGHS_CLS = _load_highs()
-
-
 def highs_available() -> bool:
     """Whether the persistent HiGHS engine can run in this process."""
-    return _HIGHS_MOD is not None
+    return _highs()[0] is not None
 
 
 def highs_impl() -> "str | None":
@@ -233,7 +236,8 @@ class PersistentLP(_LPEngine):
         super().__init__(system, method)
         self._col_indices = np.arange(self.n_variables, dtype=np.int32)
         self._have_basis = False
-        self._h = _HIGHS_CLS()
+        self._hc, highs_cls = _highs()
+        self._h = highs_cls()
         self._h.setOptionValue("output_flag", False)
         self._h.passModel(self._build_model())
         # HiGHS fixes part of a model's numerics at its first run(), from the
@@ -248,7 +252,7 @@ class PersistentLP(_LPEngine):
 
     def _build_model(self):
         """The HiGHS LP: equalities stacked over inequalities, row-wise CSR."""
-        hc = _HIGHS_MOD
+        hc = self._hc
         s = self.system
         A = sp.vstack([s.A_eq.tocsr(), s.A_ub.tocsr()], format="csr")
         m_ub = int(s.n_inequalities)
@@ -280,7 +284,7 @@ class PersistentLP(_LPEngine):
         (22.9k iterations against 8.4k cold).  Interior point ignores start
         bases, so it always runs cold.
         """
-        hc = _HIGHS_MOD
+        hc = self._hc
         self._h.changeColsCost(
             self.n_variables, self._col_indices, np.asarray(c, dtype=float)
         )
@@ -306,7 +310,7 @@ class PersistentLP(_LPEngine):
 
     def _run_ok(self) -> bool:
         self._h.run()
-        return self._h.getModelStatus() == _HIGHS_MOD.HighsModelStatus.kOptimal
+        return self._h.getModelStatus() == self._hc.HighsModelStatus.kOptimal
 
     def _info(
         self, sense: str, method_used: str, n_fallbacks: int, reused: bool
@@ -353,6 +357,8 @@ class StatelessLP(_LPEngine):
         return False
 
     def _attempt(self, method: str, presolve: bool, reuse: bool) -> bool:
+        from scipy.optimize import linprog
+
         s = self.system
         self._res = linprog(
             self._c,

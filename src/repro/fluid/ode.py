@@ -17,7 +17,6 @@ Telemetry: the whole integration runs under a ``fluid.integrate`` span;
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro import obs
 from repro.fluid.field import FluidField
@@ -65,6 +64,8 @@ def integrate_fluid(
         ``events`` — per-station lists of bottleneck-switch times;
         ``stats`` — solver diagnostics (steps, evaluations, method).
     """
+    from scipy.integrate import solve_ivp
+
     times = np.asarray(list(times), dtype=float)
     if times.size == 0:
         raise ValidationError("fluid integration needs at least one time")

@@ -6,9 +6,16 @@ MMPP(2) of Figure 6 (``mmpp2``), hyperexponential service with temporal
 dependence for the Figure 8 case study (``h2_correlated`` /
 :func:`repro.maps.fitting.fit_map2`), and general phase-type renewal
 processes (``from_ph``).
+
+``exponential`` and :func:`~repro.maps.fitting.fit_map2`, the constructors
+the scenario builders call once per population, are memoized on the float
+values of their arguments: equal calls return one shared instance, which
+is safe because a :class:`MAP` and every array it hands out are read-only.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,11 +33,23 @@ __all__ = [
     "from_ph",
 ]
 
+#: Instances each memoized constructor keeps, least recently used out
+#: first: a catalog scenario needs a handful, random draws never repeat.
+MEMO_SIZE = 1024
+
 
 def exponential(rate: float) -> MAP:
-    """Poisson process / exponential service with the given rate (MAP(1))."""
+    """Poisson process / exponential service with the given rate (MAP(1)).
+
+    Memoized on ``float(rate)`` (see the module docstring).
+    """
     if rate <= 0:
         raise ValidationError(f"rate must be positive, got {rate}")
+    return _exponential(float(rate))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _exponential(rate: float) -> MAP:
     return MAP([[-rate]], [[rate]], validate=False)
 
 

@@ -23,7 +23,6 @@ distribution ``theta``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from repro.maps.acf import lag_autocorrelation
 from repro.maps.map import MAP
@@ -64,6 +63,8 @@ def interval_dispersion(m: MAP, k_values: "int | np.ndarray") -> np.ndarray:
 
 def count_moments(m: MAP, t_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(E[N(t)], Var[N(t)])`` at the requested times (stationary start)."""
+    from scipy.integrate import solve_ivp
+
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     if np.any(t_values < 0):
         raise ValueError("t values must be >= 0")

@@ -22,6 +22,7 @@ wrong process.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -222,7 +223,17 @@ def fit_map2(mean: float, scv: float, gamma2: float = 0.0) -> MAP:
     ``0.5 <= scv < 1`` a correlated Coxian is used and ``omega`` is found by
     bisection on the achieved subdominant eigenvalue.  ``scv < 0.5`` is
     infeasible at order 2.
+
+    Memoized on the float values of the arguments
+    (:data:`repro.maps.builders.MEMO_SIZE`): the fit and its verification
+    run once per distinct target, and equal calls share one read-only
+    instance.
     """
+    return _fit_map2(float(mean), float(scv), float(gamma2))
+
+
+@lru_cache(maxsize=builders.MEMO_SIZE)
+def _fit_map2(mean: float, scv: float, gamma2: float) -> MAP:
     if abs(gamma2) >= 1.0:
         raise FeasibilityError(f"|gamma2| must be < 1, got {gamma2}")
     if abs(scv - 1.0) < 1e-12 and abs(gamma2) < 1e-12:

@@ -12,7 +12,9 @@ matrix formalism and can approximate arbitrary distributions together with
 temporal-dependence features such as short/long-range dependence — which is
 exactly why the paper adopts them for service processes.
 
-Instances are immutable; derived quantities are cached on first use.
+Instances are immutable; derived quantities are cached on first use, and
+every array an instance hands out is read-only, so one instance can be
+shared by any number of networks (the memoized constructors rely on it).
 """
 
 from __future__ import annotations
@@ -28,6 +30,11 @@ from repro.utils.errors import ValidationError
 __all__ = ["MAP"]
 
 _ATOL = 1e-9
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _validate_pair(D0: np.ndarray, D1: np.ndarray, atol: float) -> None:
@@ -92,10 +99,8 @@ class MAP:
         offmask = ~np.eye(D0.shape[0], dtype=bool)
         D0[offmask] = np.clip(D0[offmask], 0.0, None)
         np.clip(D1, 0.0, None, out=D1)
-        D0.setflags(write=False)
-        D1.setflags(write=False)
-        self._D0 = D0
-        self._D1 = D1
+        self._D0 = _frozen(D0)
+        self._D1 = _frozen(D1)
 
     # ------------------------------------------------------------------ #
     # basic structure
@@ -117,8 +122,8 @@ class MAP:
 
     @cached_property
     def generator(self) -> np.ndarray:
-        """Phase-process generator ``D = D0 + D1``."""
-        return self._D0 + self._D1
+        """Phase-process generator ``D = D0 + D1`` (read-only)."""
+        return _frozen(self._D0 + self._D1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -143,18 +148,19 @@ class MAP:
     # ------------------------------------------------------------------ #
     @cached_property
     def phase_stationary(self) -> np.ndarray:
-        """Stationary distribution ``theta`` of the phase CTMC."""
-        return _moments.phase_stationary(self._D0, self._D1)
+        """Stationary distribution ``theta`` of the phase CTMC (read-only)."""
+        return _frozen(_moments.phase_stationary(self._D0, self._D1))
 
     @cached_property
     def embedded(self) -> np.ndarray:
-        """Embedded (at event epochs) phase chain ``P = (-D0)^-1 D1``."""
-        return _moments.embedded_matrix(self._D0, self._D1)
+        """Embedded (at event epochs) phase chain ``P = (-D0)^-1 D1``
+        (read-only)."""
+        return _frozen(_moments.embedded_matrix(self._D0, self._D1))
 
     @cached_property
     def embedded_stationary(self) -> np.ndarray:
-        """Stationary distribution ``pi_e`` of the embedded chain."""
-        return _moments.embedded_stationary(self._D0, self._D1)
+        """Stationary distribution ``pi_e`` of the embedded chain (read-only)."""
+        return _frozen(_moments.embedded_stationary(self._D0, self._D1))
 
     @cached_property
     def rate(self) -> float:
@@ -170,9 +176,7 @@ class MAP:
         (high-rate for arrival processes, low-rate for service processes;
         see :func:`repro.workloads.bursty.bursty_phase`).
         """
-        rates = self._D1.sum(axis=1)
-        rates.setflags(write=False)
-        return rates
+        return _frozen(self._D1.sum(axis=1))
 
     # ------------------------------------------------------------------ #
     # interarrival-time characteristics

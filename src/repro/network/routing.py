@@ -5,11 +5,15 @@ open chains use *substochastic* rows whose deficit ``1 - sum(P[j])`` is the
 probability of exiting to the sink.  The augmented matrix — ``P`` plus the
 implicit sink column — is row-stochastic by construction, which is the
 invariant :func:`validate_open_routing` enforces.
+
+The graph checks (strong connectivity, reachability from the source,
+drainage to the sink) walk the boolean adjacency of :func:`routing_graph`
+directly: these graphs have a handful of stations, so a plain walk over
+its rows costs less than building a graph object or a sparse matrix.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.utils.errors import ValidationError
@@ -26,6 +30,20 @@ __all__ = [
 #: Probability below which an edge/entry is treated as absent in
 #: reachability analyses (shared by model, spec, and builder validation).
 EDGE_TOL = 1e-15
+
+
+def _reach(adj: np.ndarray, start: np.ndarray) -> "set[int]":
+    """Nodes reachable from the nodes of the boolean mask ``start`` (those
+    included) along the edges of the boolean adjacency ``adj``."""
+    rows = adj.tolist()
+    seen = set(np.flatnonzero(start).tolist())
+    stack = list(seen)
+    while stack:
+        for k, edge in enumerate(rows[stack.pop()]):
+            if edge and k not in seen:
+                seen.add(k)
+                stack.append(k)
+    return seen
 
 
 def open_reachable_stations(P: np.ndarray, entry: np.ndarray) -> "set[int]":
@@ -48,15 +66,7 @@ def open_reachable_stations(P: np.ndarray, entry: np.ndarray) -> "set[int]":
     set[int]
         Indices of stations reachable from the source.
     """
-    P = np.asarray(P, dtype=float)
-    M = P.shape[0]
-    G = routing_graph(P)
-    source = M
-    G.add_node(source)
-    for k in range(M):
-        if entry[k] > EDGE_TOL:
-            G.add_edge(source, k)
-    return {k for k in nx.descendants(G, source) if k < M}
+    return _reach(routing_graph(P), np.asarray(entry, dtype=float) > EDGE_TOL)
 
 
 def validate_routing(P: np.ndarray, n_stations: int) -> np.ndarray:
@@ -80,8 +90,9 @@ def validate_routing(P: np.ndarray, n_stations: int) -> np.ndarray:
         raise ValidationError(
             f"routing rows must sum to 1 (closed network); got row sums {rowsum}"
         )
-    G = routing_graph(P)
-    if not nx.is_strongly_connected(G):
+    adj = routing_graph(P)
+    root = np.arange(n_stations) == 0
+    if not len(_reach(adj, root)) == n_stations == len(_reach(adj.T, root)):
         raise ValidationError("routing graph must be strongly connected")
     return np.clip(P, 0.0, 1.0)
 
@@ -147,16 +158,10 @@ def validate_open_routing(
             f"stations {unreachable} are unreachable from the external "
             "source; remove them or fix the routing"
         )
-    # Drain check on the sink-augmented graph, over visited stations only.
-    G = routing_graph(P)
-    sink = n_stations + 1
-    for k in range(n_stations):
-        if exit_prob[k] > 1e-12:
-            G.add_edge(k, sink)
-    no_drain = [
-        k for k in sorted(reach_from_source)
-        if sink not in nx.descendants(G, k)
-    ]
+    # Drain check over visited stations only: a station drains when it
+    # reaches (or is) a station with an exit to the sink.
+    drains = _reach(routing_graph(P).T, exit_prob > 1e-12)
+    no_drain = [k for k in sorted(reach_from_source) if k not in drains]
     if no_drain:
         raise ValidationError(
             f"the sink is unreachable from stations {no_drain}: jobs routed "
@@ -165,16 +170,10 @@ def validate_open_routing(
     return np.clip(P, 0.0, 1.0)
 
 
-def routing_graph(P: np.ndarray) -> "nx.DiGraph":
-    """Directed graph with an edge j->k wherever ``P[j,k] > EDGE_TOL``."""
-    M = P.shape[0]
-    G = nx.DiGraph()
-    G.add_nodes_from(range(M))
-    for j in range(M):
-        for k in range(M):
-            if P[j, k] > EDGE_TOL:
-                G.add_edge(j, k, weight=float(P[j, k]))
-    return G
+def routing_graph(P: np.ndarray) -> np.ndarray:
+    """Boolean adjacency of the routing graph: entry ``[j, k]`` is True
+    (an edge j->k) wherever ``P[j, k] > EDGE_TOL``."""
+    return np.asarray(P, dtype=float) > EDGE_TOL
 
 
 def visit_ratios(P: np.ndarray, reference: int = 0) -> np.ndarray:

@@ -598,7 +598,7 @@ def _solve_decomposition(network: Network, reference: int = 0) -> SolveResult:
     )
 
 
-def _normalized_opts(adapter: Callable, opts: dict) -> dict:
+def _normalized_opts(signature: inspect.Signature, opts: dict) -> dict:
     """Fill in the adapter's keyword defaults before fingerprinting.
 
     Makes ``solve(net, "exact")`` and ``solve(net, "exact", reference=0)``
@@ -606,7 +606,7 @@ def _normalized_opts(adapter: Callable, opts: dict) -> dict:
     silently duplicate cache entries across drivers.
     """
     try:
-        bound = inspect.signature(adapter).bind_partial(**opts)
+        bound = signature.bind_partial(**opts)
     except TypeError as exc:
         # Unknown keyword: let the adapter raise its own error on the
         # compute path rather than failing here with a confusing message.
@@ -634,6 +634,8 @@ class SolverRegistry:
         self._adapters: dict[
             str, tuple[Callable, bool, tuple[str, ...], type, tuple[str, ...]]
         ] = {}
+        #: each adapter's signature, for :func:`_normalized_opts`
+        self._signatures: dict[str, inspect.Signature] = {}
         for name, fn, stochastic in (
             ("lp", _solve_lp, False),
             ("exact", _solve_exact, False),
@@ -708,6 +710,7 @@ class SolverRegistry:
             result_cls,
             tuple(fingerprint_invariant_opts),
         )
+        self._signatures[name] = inspect.signature(adapter)
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -759,7 +762,7 @@ class SolverRegistry:
             if use_cache:
                 t_fp = obs.clock()
                 try:
-                    normalized = _normalized_opts(adapter, opts)
+                    normalized = _normalized_opts(self._signatures[method], opts)
                     for name in fp_invariant:
                         normalized.pop(name, None)
                     key = fingerprint_solve(network, method, normalized)

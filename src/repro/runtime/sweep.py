@@ -40,7 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.network.model import Network
-from repro.runtime.batch import _share_cores
+from repro.runtime.batch import _share_cores, _usable_cores
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.fingerprint import fingerprint_sweep
 from repro.runtime.registry import SolveResult, SolverRegistry
@@ -229,7 +229,8 @@ class SweepRunner:
         Registry used on the serial path (``workers <= 1``); defaults to a
         fresh registry over ``cache_dir``.
     workers:
-        Default worker count; ``None`` picks ``min(n_points, cpu_count)``,
+        Default worker count; ``None`` picks ``min(n_points, usable
+        cores)`` (the CPU affinity count the LP pair threads use),
         ``0``/``1`` solve serially in-process.
     cache_dir:
         Disk cache directory shared by all workers; ``None`` disables the
@@ -296,7 +297,7 @@ class SweepRunner:
         if workers is None:
             workers = self.workers
         if workers is None:
-            workers = min(len(networks), os.cpu_count() or 1)
+            workers = min(len(networks), _usable_cores())
 
         tele = obs.get_telemetry()
         with tele.span(

@@ -1,9 +1,5 @@
 """Tests for the analysis helpers: sample ACF, batch means, Little's law."""
 
-import subprocess
-import sys
-import textwrap
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,23 +110,6 @@ class TestConfidenceInterval:
         se = x.std(ddof=1) / 2.0
         assert (hi - mean) / se == pytest.approx(3.182446305284263, rel=1e-14)
         assert (mean - lo) / se == pytest.approx(3.182446305284263, rel=1e-14)
-
-
-def test_setup_imports_skip_scipy_stats():
-    """The statistics helpers must not pull ``scipy.stats`` into set-up."""
-    script = textwrap.dedent(
-        """
-        import sys
-        import repro.runtime.registry
-        import repro.scenarios
-        print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
-        """
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
 
 
 class TestLittlesLaw:

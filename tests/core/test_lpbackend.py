@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from repro.core import build_constraints, queue_length_metric, throughput_metric
 from repro.core.lp import optimize_metric
@@ -62,7 +63,7 @@ class TestDiscovery:
 
     def test_forced_highs_raises_without_binding(self, system, monkeypatch):
         _, _, sys_c = system
-        monkeypatch.setattr(lpbackend, "_HIGHS_MOD", None)
+        monkeypatch.setattr(lpbackend, "_highs", lambda: (None, None))
         assert highs_impl() is None
         with pytest.raises(SolverError, match="highs"):
             make_lp_engine(sys_c, backend="highs")
@@ -193,7 +194,7 @@ class TestStatelessLadder:
             ("system_throughput",)
         )["system_throughput"]
         stub = _FlakyLinprog(n_fail=2)
-        monkeypatch.setattr(lpbackend, "linprog", stub)
+        monkeypatch.setattr(scipy.optimize, "linprog", stub)
         tele = obs.Telemetry()
         with obs.use(tele):
             solver = BatchLPSolver(net, backend="scipy", method="highs")
@@ -219,7 +220,7 @@ class TestStatelessLadder:
 
     def test_engine_reports_the_step_that_answered(self, system, monkeypatch):
         net, vi, sys_c = system
-        monkeypatch.setattr(lpbackend, "linprog", _FlakyLinprog(n_fail=1))
+        monkeypatch.setattr(scipy.optimize, "linprog", _FlakyLinprog(n_fail=1))
         info = StatelessLP(sys_c, method="highs").solve(
             throughput_metric(net, vi, 0).dense(sys_c.n_variables), "max"
         )
@@ -230,7 +231,7 @@ class TestStatelessLadder:
     def test_exhausted_ladder_raises(self, system, monkeypatch):
         _, _, sys_c = system
         stub = _FlakyLinprog(n_fail=10**6)
-        monkeypatch.setattr(lpbackend, "linprog", stub)
+        monkeypatch.setattr(scipy.optimize, "linprog", stub)
         with pytest.raises(SolverError, match="after 2 retries"):
             StatelessLP(sys_c).solve(np.zeros(sys_c.n_variables), "min")
         assert len(stub.calls) == 3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.maps import MAP, exponential, erlang, hyperexponential, mmpp2
+from repro.maps import MAP, exponential, erlang, fit_map2, hyperexponential, mmpp2
 from repro.utils.errors import ValidationError
 
 
@@ -48,12 +48,45 @@ class TestValidation:
         with pytest.raises(ValueError):
             m.D0[0, 0] = 5.0
 
+    @pytest.mark.parametrize(
+        "attr", ["generator", "phase_stationary", "embedded", "embedded_stationary"]
+    )
+    def test_derived_arrays_are_readonly(self, attr):
+        # one instance is shared by every network a memoized constructor
+        # served: a write must raise, not corrupt all of them
+        m = mmpp2(r1=0.1, r2=0.2, lam1=2.0, lam2=0.5)
+        before = getattr(m, attr).copy()
+        with pytest.raises(ValueError):
+            getattr(m, attr)[0] = 5.0
+        assert np.array_equal(getattr(m, attr), before)
+
     def test_constructor_copies_input(self):
         D0 = np.array([[-2.0, 1.0], [1.0, -2.0]])
         D1 = np.array([[1.0, 0.0], [0.0, 1.0]])
         m = MAP(D0, D1)
         D0[0, 0] = -99.0
         assert m.D0[0, 0] == -2.0
+
+
+class TestMemoizedConstructors:
+    def test_exponential_shared_per_float_rate(self):
+        assert exponential(2) is exponential(2.0) is exponential(np.float64(2.0))
+        assert exponential(2.0) is not exponential(3.0)
+
+    def test_exponential_of_a_zero_d_array(self):
+        m = exponential(np.array(2.0))
+        assert m is exponential(2.0)
+        assert m.rate == pytest.approx(2.0)
+
+    def test_exponential_still_rejects_nonpositive_rates(self):
+        with pytest.raises(ValidationError):
+            exponential(0.0)
+
+    def test_fit_map2_shared_per_float_target(self):
+        m = fit_map2(1, 4, 0.4)
+        assert m is fit_map2(1.0, 4.0, gamma2=0.4)
+        assert m is fit_map2(np.float64(1.0), np.float64(4.0), np.float64(0.4))
+        assert fit_map2(1.0, 4.0) is not m
 
 
 class TestExponential:

@@ -162,7 +162,7 @@ class TestLPBackendInvariance:
         want = SolverRegistry(cache=None).solve(
             tandem, "lp", metrics=self.METRICS, backend="scipy"
         )
-        monkeypatch.setattr(lpbackend, "_HIGHS_MOD", None)
+        monkeypatch.setattr(lpbackend, "_highs", lambda: (None, None))
         got = SolverRegistry(cache=None).solve(
             tandem, "lp", metrics=self.METRICS, backend="auto"
         )

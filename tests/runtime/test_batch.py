@@ -5,9 +5,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import repro.obs as obs
-from repro.core import lpbackend, solve_bounds
+from repro.core import solve_bounds
 from repro.core.lpbackend import highs_available
 from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
@@ -189,14 +190,14 @@ class TestPairPool:
         self, net, workers_first, monkeypatch, tmp_path
     ):
         caller = threading.current_thread()
-        real = lpbackend.linprog
+        real = scipy.optimize.linprog
 
         def linprog(*args, **kwargs):  # every attempt off the caller fails
             if threading.current_thread() is caller:
                 return real(*args, **kwargs)
             return SimpleNamespace(success=False, message="stub", status=4)
 
-        monkeypatch.setattr(lpbackend, "linprog", linprog)
+        monkeypatch.setattr(scipy.optimize, "linprog", linprog)
         solver = BatchLPSolver(net, backend="scipy")
         specs = expand_metric_specs("standard", net.n_stations)
         before = threading.active_count()

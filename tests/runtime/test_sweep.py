@@ -1,8 +1,11 @@
 """SweepRunner: ordering, determinism serial vs parallel, shared disk cache."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
 from repro.runtime import SweepRunner, derive_seed
@@ -73,6 +76,20 @@ class TestOrderingAndDeterminism:
             assert s[2] == p[2]  # population order is still exact
             assert s[0] == pytest.approx(p[0], abs=1e-9)
             assert s[1] == pytest.approx(p[1], abs=1e-9)
+
+
+class TestDefaultWorkers:
+    def test_default_follows_the_cpu_affinity(self, net, monkeypatch):
+        """Pinned to one core of a two-CPU host (``taskset -c 0``), a
+        default sweep solves serially: the worker count is the affinity
+        count the LP pair threads use, not ``os.cpu_count()``."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        tele = obs.Telemetry()
+        with obs.use(tele):
+            SweepRunner(cache_dir=None).population_sweep(net, POPULATIONS, method="mva")
+        [span] = [sp for sp in tele.roots if sp.name == "sweep.run"]
+        assert span.attributes["workers"] == 1
 
 
 class TestSweepCache:

@@ -119,6 +119,13 @@ class TestScenarioParams:
         sc = get_scenario("fig5-case-study")
         assert sc.network().population == sc.default_population
 
+    def test_populations_share_one_service_map(self):
+        # the MAP(2) is fitted once per process, not once per population
+        sc = get_scenario("bursty-tandem")
+        a, b = sc.network(population=4), sc.network(population=9)
+        assert a.stations[0].service.order == 2
+        assert a.stations[0].service is b.stations[0].service
+
 
 class TestRegistryMechanics:
     def _dummy(self):

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint docs docs-serve bench bench-large bench-transient bench-fluid bench-fluid-large bench-kron bench-kron-large smoke-open smoke-transient smoke-obs smoke-obs-history smoke-kron smoke-fluid clean
+.PHONY: test lint docs docs-serve bench bench-large bench-transient bench-fluid bench-fluid-large bench-kron bench-kron-large smoke-open smoke-transient smoke-obs smoke-kron smoke-fluid clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -86,14 +86,6 @@ smoke-transient:
 smoke-obs:
 	$(PYTHON) benchmarks/smoke_obs.py
 
-# End-to-end smoke of the perf-history ledger + regression sentinel: a
-# real bench run flows into the ledger at write time, `history
-# validate/ingest/show` and `sentinel check` pass on the unmodified
-# artifact, and an injected 2x slowdown must exit nonzero (see
-# docs/performance.md).
-smoke-obs-history:
-	$(PYTHON) benchmarks/smoke_obs_history.py
-
 # End-to-end smoke of the matrix-free Kronecker backend: a catalog-scale
 # ring past the dense storage wall solved exactly (Krylov) and
 # transiently with build_generator tripwired, disk-cache replay under
@@ -110,4 +102,4 @@ smoke-fluid:
 	$(PYTHON) benchmarks/smoke_fluid.py
 
 clean:
-	rm -rf site .repro-cache .repro-perf .pytest_cache
+	rm -rf site .repro-cache .pytest_cache

@@ -1,15 +1,15 @@
-"""JSON perf reporter: the machine-readable benchmark trajectory.
+"""JSON perf reporter: the machine-readable benchmark acceptance record.
 
 Benchmarks record structured entries through the session-scoped
 ``perf_report`` fixture (see ``conftest.py``); at session end the reporter
 writes ``BENCH_lp_scaling.json`` at the repository root (override with
 ``REPRO_BENCH_JSON``).  The file is the tracked perf baseline: every PR
-that touches the LP kernel regenerates it via ``make bench-large`` so the
-assembly/solve trajectory is reviewable alongside the code.
+that touches the LP kernel regenerates it via ``make bench-large``, and
+``python -m repro.obs sentinel baseline`` gates it.
 
-Any reporter failure (unserializable entry, unwritable path, corrupt
-round-trip) raises — the CI bench job fails on reporter errors, never on
-timing noise.
+Any reporter failure (unserializable entry, unwritable path, an artifact
+that fails :func:`repro.obs.sentinel.validate_artifact`) raises — the CI
+bench job fails on reporter errors, never on timing noise.
 
 Timing sources: entries that time *instrumented* code paths go through
 :meth:`PerfReporter.record_snapshot`, which flattens a
@@ -28,7 +28,7 @@ import os
 import platform
 from pathlib import Path
 
-SCHEMA_VERSION = 1
+from repro.obs.sentinel import ARTIFACT_SCHEMA_VERSION, validate_artifact
 
 #: (M, N) of the ring-of-MAP(2) stress shape per preset.  "large" is the
 #: paper's Section 2 claim: 10 MAP(2) queues at N = 50.
@@ -51,12 +51,11 @@ def default_report_path(
     """Output path for the active preset (``env_var`` overrides).
 
     This is the artifact naming contract (shared with
-    ``repro.obs.history``): the large preset writes the *canonical*
-    tracked baseline ``BENCH_<benchmark>.json``; the quick preset always
-    writes ``BENCH_<benchmark>.quick.json`` — untracked by default
-    (``.gitignore``), with ``BENCH_kron.quick.json`` deliberately
-    committed as the materializable-shape record — so a quick run can
-    never clobber the committed large-preset measurement.  CI runs the
+    ``repro.obs.sentinel.benchmark_from_path``): the large preset writes
+    the *canonical* tracked baseline ``BENCH_<benchmark>.json``; the
+    quick preset always writes ``BENCH_<benchmark>.quick.json``, which
+    ``.gitignore`` keeps untracked, so a quick run can never clobber the
+    committed large-preset measurement.  CI runs the
     quick presets unpinned and gates the ``.quick.json`` outputs with
     ``python -m repro.obs sentinel baseline``; the env var remains an
     explicit escape hatch for tests and one-off comparisons.
@@ -143,7 +142,7 @@ class PerfReporter:
     def payload(self) -> dict:
         """The full JSON document."""
         return {
-            "schema": SCHEMA_VERSION,
+            "schema": ARTIFACT_SCHEMA_VERSION,
             "benchmark": self.benchmark,
             "preset": bench_preset(),
             "python": platform.python_version(),
@@ -151,28 +150,15 @@ class PerfReporter:
         }
 
     def write(self) -> Path:
-        """Serialize, write atomically, and verify the round-trip.
+        """Serialize, write atomically, and validate what was written.
 
-        When ``REPRO_PERF_LEDGER`` is set the artifact additionally
-        flows into the perf-history ledger (``1``/``true`` selects the
-        default ``.repro-perf`` store, any other value is the ledger
-        directory) — this is how bench runs become trajectory points
-        without a separate ingest step.  Ledger failures raise like any
-        other reporter failure: CI fails on reporter errors, never on
-        timing noise.
+        The file is read back and checked against the shared envelope
+        schema, so a malformed artifact fails when it is written, not
+        when it is gated.
         """
         text = json.dumps(self.payload(), indent=2, allow_nan=False) + "\n"
         tmp = self.path.with_suffix(".json.tmp")
         tmp.write_text(text)
         tmp.replace(self.path)
-        check = json.loads(self.path.read_text())
-        if check.get("schema") != SCHEMA_VERSION or "entries" not in check:
-            raise RuntimeError(f"perf report round-trip failed for {self.path}")
-        ledger_env = os.environ.get("REPRO_PERF_LEDGER")
-        if ledger_env:
-            from repro.obs.history import Ledger
-
-            root = None if ledger_env.lower() in ("1", "true", "yes") else ledger_env
-            n = Ledger(root).ingest(self.path)
-            print(f"perf ledger: +{n} records from {self.path.name}")
+        validate_artifact(json.loads(self.path.read_text()), source=str(self.path))
         return self.path

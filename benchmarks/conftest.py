@@ -6,7 +6,7 @@ wins, by roughly what factor, where the crossovers fall.  Full-fidelity
 presets are available through each experiment's ``paper()`` config and the
 ``python -m repro.experiments.<name>`` CLIs.
 
-Benchmarks that track the perf trajectory additionally record structured
+Benchmarks that keep an acceptance record additionally record structured
 entries through the session-scoped ``perf_report`` fixture, which writes
 ``BENCH_lp_scaling.json`` at session end (see ``bench_reporting.py``).
 A reporter failure raises at teardown — the CI bench job fails on reporter
@@ -67,7 +67,7 @@ def transient_perf_report():
 
     Writes ``BENCH_transient.json`` (override with
     ``REPRO_BENCH_TRANSIENT_JSON``), so the multi-time-point reuse
-    trajectory is a reviewable artifact alongside the LP one.
+    record is a reviewable artifact alongside the LP one.
     """
     yield from _reporter_session("transient", "REPRO_BENCH_TRANSIENT_JSON")
 

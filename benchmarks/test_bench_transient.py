@@ -5,7 +5,7 @@ shared Poisson sweep must cost >= 5x fewer sparse matvecs than running
 single-``t`` uniformization per grid point (the pre-subsystem idiom).
 The gate is on the *matvec count* — deterministic, so CI can enforce it
 without timing noise — while wall-clock speedup is recorded alongside in
-``BENCH_transient.json`` for the reviewable perf trajectory.
+``BENCH_transient.json`` as a reviewable acceptance record.
 """
 
 import time

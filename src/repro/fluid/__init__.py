@@ -19,8 +19,8 @@ plus service phases — independent of the population:
   :class:`~repro.fluid.result.FluidResult` (a ``TransientResult``
   subclass, so steady answers and trajectories share one surface).
 
-The derivation, the refinement hook, and the validation methodology are
-documented in ``docs/fluid.md``.
+The derivation and the validation methodology are documented in
+``docs/fluid.md``.
 """
 
 from repro.fluid.field import FluidField

@@ -45,15 +45,15 @@ count (the ``c_k`` relaxations); :meth:`FluidField.switch_events` turns
 those thresholds into scipy event functions so the integrator lands
 steps on bottleneck switches instead of stumbling over them.
 
-Refinement hook
----------------
+Diffusion correction
+--------------------
 The first-order field above is asymptotically exact as ``N -> inf`` but
-ignores second-moment (diffusion) effects at finite ``N``.  The solver
-surface reserves a ``refinement`` option for a diffusion correction
-(linear-noise / Gaussian expansion around the fluid path, cf. Perez &
-Casale's mean-field work in PAPERS.md); the field keeps the drift and
-its Jacobian (the expansion's ingredients) separately evaluable so the
-correction can be layered on without rederiving anything.
+ignores second-moment (diffusion) effects at finite ``N``.  A diffusion
+correction (linear-noise / Gaussian expansion around the fluid path, cf.
+Perez & Casale's mean-field work in PAPERS.md) is not implemented; the
+field keeps the drift and its Jacobian (the expansion's ingredients)
+separately evaluable so one can be layered on without rederiving
+anything.
 """
 
 from __future__ import annotations

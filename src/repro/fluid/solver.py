@@ -21,10 +21,6 @@ Option surface (all canonically fingerprintable):
     must stay flat).
 ``ode_method`` / ``rtol`` / ``atol``
     Stiff-integrator controls (:mod:`repro.fluid.ode`).
-``refinement``
-    Reserved hook for the first-order diffusion correction; only
-    ``"none"`` is implemented (anything else raises the typed
-    ``NotSupportedError`` so callers can feature-test).
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from repro.fluid.ode import DEFAULT_ATOL, DEFAULT_RTOL, integrate_fluid
 from repro.fluid.result import FluidResult
 from repro.network.model import Network, require_closed
 from repro.transient.initial import parse_pi0_spec
-from repro.utils.errors import NotSupportedError, ValidationError
+from repro.utils.errors import ValidationError
 from repro.workloads.bursty import bursty_phase
 
 __all__ = ["fluid_initial_state", "solve_fluid"]
@@ -86,7 +82,6 @@ def solve_fluid(
     ode_method: str = "auto",
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    refinement: str = "none",
 ) -> FluidResult:
     """Adapter behind ``registry.solve(network, method="fluid", ...)``.
 
@@ -96,12 +91,6 @@ def solve_fluid(
     tier walks a population-indexed structure.
     """
     require_closed(network, "fluid")
-    if refinement != "none":
-        raise NotSupportedError(
-            f"fluid refinement {refinement!r} is not implemented; 'none' is "
-            "the first-order mean-field drift (the diffusion correction is "
-            "the documented follow-up — see docs/fluid.md)"
-        )
     field = FluidField(network)
     point = fluid_fixed_point(network, field=field)
     M = network.n_stations

@@ -1,13 +1,14 @@
-"""`repro.obs` — structured tracing, metrics, profiling, and perf history.
+"""`repro.obs` — structured tracing, metrics, profiling, and benchmark gates.
 
 The observability layer of the solver stack: :class:`Span` trees for
 tracing, a process-wide :class:`Telemetry` registry of counters / gauges
 / histograms, JSONL trace export with a versioned schema, an ASCII
 profiling report, an always-on :class:`FlightRecorder` that attaches
-trace dumps to structured solver errors, a persistent perf-history
-:class:`Ledger` with a noise-aware regression sentinel, and Prometheus /
-JSON metrics exposition.  Disabled by default (:class:`NullTelemetry`),
-with measured enabled overhead tracked in ``BENCH_lp_scaling.json``.
+trace dumps to structured solver errors, and Prometheus / JSON metrics
+exposition.  Disabled by default (:class:`NullTelemetry`), with measured
+enabled overhead tracked in ``BENCH_lp_scaling.json``.  The
+``BENCH_*.json`` envelope and its invariant gates live in
+:mod:`repro.obs.sentinel`, which this package does not import.
 
 Quick profiling session::
 
@@ -24,11 +25,11 @@ Or from the command line::
     python -m repro.scenarios solve drain-bursty-tandem \\
         --method transient --profile --trace-out trace.jsonl
     python -m repro.obs report trace.jsonl
-    python -m repro.obs history show
+    python -m repro.obs sentinel baseline
     python -m repro.obs serve --port 9109
 
 See ``docs/observability.md`` for the span model, metric name tables,
-the ledger/sentinel workflow, and the schema version policy.
+the benchmark gates, and the schema version policy.
 """
 
 from repro.obs.core import (
@@ -53,9 +54,7 @@ from repro.obs.export import (
     render_prometheus,
     start_metrics_server,
 )
-from repro.obs.history import Ledger, validate_artifact
 from repro.obs.report import render_summary
-from repro.obs.sentinel import check_artifact, check_baseline_gates
 from repro.obs.trace import (
     TRACE_SCHEMA_VERSION,
     export_jsonl,
@@ -75,13 +74,10 @@ register_flight_dump_exceptions(_SolverError)
 __all__ = [
     "TRACE_SCHEMA_VERSION",
     "FlightRecorder",
-    "Ledger",
     "NullTelemetry",
     "Span",
     "Telemetry",
     "TelemetrySnapshot",
-    "check_artifact",
-    "check_baseline_gates",
     "clock",
     "disable",
     "disable_flight_recorder",
@@ -100,6 +96,5 @@ __all__ = [
     "spans_from_records",
     "start_metrics_server",
     "use",
-    "validate_artifact",
     "validate_trace",
 ]

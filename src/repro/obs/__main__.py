@@ -4,11 +4,10 @@
 
 * ``report`` / ``validate`` — render / schema-check a JSONL trace file
   (the checks ``make smoke-obs`` relies on).
-* ``history ingest|show|diff|trend|validate`` — the perf-history ledger
-  over the ``BENCH_*.json`` artifacts (see :mod:`repro.obs.history`).
-* ``sentinel check|baseline`` — noise-aware regression gate against the
-  ledger, and the declarative per-benchmark invariant gates CI runs
-  (see :mod:`repro.obs.sentinel`).
+* ``sentinel baseline [ARTIFACT ...]`` — the per-benchmark invariant
+  gates over ``BENCH_*.json`` artifacts (default: every one in the
+  working directory; see :mod:`repro.obs.sentinel`).  Exits 1 when a
+  gate fails or no artifact is found.
 * ``serve`` — stdlib HTTP endpoint exposing the process-wide telemetry
   as Prometheus text / JSON (see :mod:`repro.obs.export`).
 """
@@ -16,27 +15,13 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from repro.obs.core import TelemetrySnapshot, enable, get_telemetry
 from repro.obs.export import MetricsServer, render_prometheus
-from repro.obs.history import (
-    Ledger,
-    benchmark_from_path,
-    render_diff,
-    render_show,
-    render_trend,
-    validate_artifact,
-)
 from repro.obs.report import render_summary
-from repro.obs.sentinel import (
-    DEFAULT_FLOOR_S,
-    DEFAULT_RATIO,
-    check_artifact,
-    check_baseline_gates,
-)
+from repro.obs.sentinel import check_baseline_gates
 from repro.obs.trace import load_trace, spans_from_records, validate_trace
 
 
@@ -76,110 +61,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- history ---------------------------------------------------------------
-
-
-def _ledger(args: argparse.Namespace) -> Ledger:
-    """The ledger selected by ``--ledger-dir`` (default: env / .repro-perf)."""
-    return Ledger(args.ledger_dir)
-
-
-def _artifact_paths(args: argparse.Namespace) -> list[Path]:
-    """Artifact paths from positional args, else ``BENCH_*.json`` in --dir."""
-    if getattr(args, "artifacts", None):
-        return [Path(p) for p in args.artifacts]
-    return sorted(Path(args.dir).glob("BENCH_*.json"))
-
-
-def _cmd_history_validate(args: argparse.Namespace) -> int:
-    """Schema-check every artifact; exit 1 on the first batch of problems."""
-    paths = _artifact_paths(args)
-    if not paths:
-        print("no BENCH_*.json artifacts found", file=sys.stderr)
-        return 1
-    failures = 0
-    for path in paths:
-        try:
-            payload = validate_artifact(
-                json.loads(path.read_text()), source=path.name
-            )
-            benchmark_from_path(path)
-        except (ValueError, OSError) as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            failures += 1
-            continue
-        print(
-            f"valid: {path.name} ({payload['benchmark']}, "
-            f"preset={payload['preset']}, {len(payload['entries'])} entries)"
-        )
-    return 1 if failures else 0
-
-
-def _cmd_history_ingest(args: argparse.Namespace) -> int:
-    """Ingest artifacts into the ledger (idempotent per content hash)."""
-    ledger = _ledger(args)
-    total = 0
-    for path in _artifact_paths(args):
-        n = ledger.ingest(path)
-        total += n
-        status = f"{n} records" if n else "already ingested"
-        print(f"ingest {path.name}: {status}")
-    print(f"ledger {ledger.path}: +{total} records")
-    return 0
-
-
-def _cmd_history_show(args: argparse.Namespace) -> int:
-    """Render the trajectory (auto-ingesting ``--dir`` artifacts first)."""
-    ledger = _ledger(args)
-    if not args.no_ingest:
-        for name, n in ledger.ingest_directory(args.dir).items():
-            if n:
-                print(f"ingested {name}: {n} records")
-    print(render_show(ledger))
-    return 0
-
-
-def _cmd_history_diff(args: argparse.Namespace) -> int:
-    """Field-by-field diff of the two most recent snapshots."""
-    print(render_diff(_ledger(args), args.benchmark, preset=args.preset))
-    return 0
-
-
-def _cmd_history_trend(args: argparse.Namespace) -> int:
-    """One field's time series across all ingested snapshots."""
-    print(
-        render_trend(
-            _ledger(args),
-            args.benchmark,
-            args.case,
-            args.field,
-            preset=args.preset,
-            case_index=args.case_index,
-        )
-    )
-    return 0
-
-
 # -- sentinel --------------------------------------------------------------
 
 
-def _cmd_sentinel_check(args: argparse.Namespace) -> int:
-    """Tolerance-band regression check vs the ledger; exit 1 on regression."""
-    ledger = _ledger(args)
-    failed = False
-    for path in _artifact_paths(args):
-        report = check_artifact(
-            path, ledger, ratio=args.ratio, floor_s=args.floor_s
-        )
-        print(report.render())
-        failed = failed or not report.ok
-    return 1 if failed else 0
-
-
 def _cmd_sentinel_baseline(args: argparse.Namespace) -> int:
-    """Declarative invariant gates over artifacts; exit 1 on any failure."""
+    """Invariant gates over artifacts; exit 1 on a failure or no artifact."""
+    paths = [Path(p) for p in args.artifacts] or sorted(Path().glob("BENCH_*.json"))
+    if not paths:
+        print("no BENCH_*.json artifacts found", file=sys.stderr)
+        return 1
     failed = False
-    for path in _artifact_paths(args):
+    for path in paths:
         report = check_baseline_gates(path)
         print(report.render())
         failed = failed or not report.ok
@@ -224,8 +116,8 @@ def main(argv: "list[str] | None" = None) -> int:
     """Parse arguments and dispatch to the selected subcommand."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Traces, perf history, regression sentinel, and "
-        "metrics exposition for repro.obs.",
+        description="Traces, benchmark artifact gates, and metrics "
+        "exposition for repro.obs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -236,74 +128,15 @@ def main(argv: "list[str] | None" = None) -> int:
     p_validate.add_argument("trace", help="path to a .jsonl trace file")
     p_validate.set_defaults(func=_cmd_validate)
 
-    p_history = sub.add_parser("history", help="perf-history ledger commands")
-    hsub = p_history.add_subparsers(dest="subcommand", required=True)
-
-    def _ledger_opts(p: argparse.ArgumentParser, artifacts: bool = True) -> None:
-        """Shared --ledger-dir/--dir/artifact options for ledger commands."""
-        p.add_argument(
-            "--ledger-dir",
-            default=None,
-            help="ledger directory (default: $REPRO_PERF_DIR or .repro-perf)",
-        )
-        p.add_argument(
-            "--dir", default=".",
-            help="directory scanned for BENCH_*.json (default: .)",
-        )
-        if artifacts:
-            p.add_argument(
-                "artifacts", nargs="*",
-                help="explicit artifact paths (default: BENCH_*.json in --dir)",
-            )
-
-    h_validate = hsub.add_parser(
-        "validate", help="schema-check BENCH_*.json artifacts"
-    )
-    _ledger_opts(h_validate)
-    h_validate.set_defaults(func=_cmd_history_validate)
-    h_ingest = hsub.add_parser("ingest", help="append artifacts to the ledger")
-    _ledger_opts(h_ingest)
-    h_ingest.set_defaults(func=_cmd_history_ingest)
-    h_show = hsub.add_parser("show", help="render the perf trajectory")
-    _ledger_opts(h_show, artifacts=False)
-    h_show.add_argument(
-        "--no-ingest", action="store_true",
-        help="render the ledger as-is without scanning --dir",
-    )
-    h_show.set_defaults(func=_cmd_history_show)
-    h_diff = hsub.add_parser("diff", help="diff the two most recent snapshots")
-    _ledger_opts(h_diff, artifacts=False)
-    h_diff.add_argument("benchmark", help="benchmark name (e.g. lp_scaling)")
-    h_diff.add_argument("--preset", default=None, choices=("quick", "large"))
-    h_diff.set_defaults(func=_cmd_history_diff)
-    h_trend = hsub.add_parser("trend", help="one field's series over time")
-    _ledger_opts(h_trend, artifacts=False)
-    h_trend.add_argument("benchmark")
-    h_trend.add_argument("case")
-    h_trend.add_argument("field")
-    h_trend.add_argument("--preset", default=None, choices=("quick", "large"))
-    h_trend.add_argument("--case-index", type=int, default=0)
-    h_trend.set_defaults(func=_cmd_history_trend)
-
-    p_sentinel = sub.add_parser("sentinel", help="perf regression gates")
+    p_sentinel = sub.add_parser("sentinel", help="benchmark artifact gates")
     ssub = p_sentinel.add_subparsers(dest="subcommand", required=True)
-    s_check = ssub.add_parser(
-        "check", help="tolerance-band check vs the ledger baseline"
-    )
-    _ledger_opts(s_check)
-    s_check.add_argument(
-        "--ratio", type=float, default=DEFAULT_RATIO,
-        help=f"relative tolerance band (default {DEFAULT_RATIO}x)",
-    )
-    s_check.add_argument(
-        "--floor-s", type=float, default=DEFAULT_FLOOR_S,
-        help=f"absolute excess floor in seconds (default {DEFAULT_FLOOR_S})",
-    )
-    s_check.set_defaults(func=_cmd_sentinel_check)
     s_baseline = ssub.add_parser(
         "baseline", help="declarative per-benchmark invariant gates"
     )
-    _ledger_opts(s_baseline)
+    s_baseline.add_argument(
+        "artifacts", nargs="*",
+        help="artifact paths (default: BENCH_*.json in the working directory)",
+    )
     s_baseline.set_defaults(func=_cmd_sentinel_baseline)
 
     p_serve = sub.add_parser(

@@ -1,58 +1,56 @@
-"""Noise-aware perf-regression sentinel over the history ledger.
+"""The ``BENCH_*.json`` artifact envelope and its invariant gates.
 
-Two complementary checks, both exposed through ``python -m repro.obs
-sentinel`` and wired into CI/`make smoke-obs-history`:
+The benches write their acceptance records through
+``benchmarks/bench_reporting.py``: ``BENCH_lp_scaling.json`` (the
+paper's 10 MAP(2) queues at N = 50), ``BENCH_transient.json``,
+``BENCH_fluid.json`` and ``BENCH_kron.json``.  This module is the one
+definition of such a file:
 
-* :func:`check_artifact` — the *trajectory* gate.  Compares a fresh
-  bench artifact against the latest ledger baseline for the same
-  (benchmark, preset, case) with per-case tolerance bands on the timing
-  fields (``t_*_s``).  A regression needs both a relative breach
-  (fresh > ``ratio`` x baseline) and an absolute one (fresh - baseline >
-  ``floor_s``), so microsecond-scale cases cannot trip the gate on
-  scheduler noise.
-* :func:`check_baseline_gates` — the *invariant* gate.  The declarative
-  port of the per-bench assertions CI used to carry as inline python
-  heredocs: required cases present, deterministic counters in range,
-  speedup factors above their floors.  Deterministic facts are checked
-  on every preset; wall-clock claims only on the large preset, and
-  quick artifacts therefore pass trivially where only timing gates
-  exist (that is the documented "ignore quick artifacts" behaviour).
+* :func:`validate_artifact` — the envelope schema every artifact obeys;
+* :func:`benchmark_from_path` — the naming contract:
+  ``BENCH_<name>.json`` is the committed large-preset record,
+  ``BENCH_<name>.quick.json`` a quick-preset run (gitignored);
+* :func:`check_baseline_gates` — the per-benchmark invariant gates
+  (:data:`BASELINE_GATES`), run by ``python -m repro.obs sentinel
+  baseline``.  They are the declarative port of the per-bench assertions
+  CI used to carry as inline python heredocs: required cases present,
+  deterministic counters in range, speedup factors above their floors.
+  Deterministic facts are checked on every preset; wall-clock claims
+  only on the large preset, and quick artifacts therefore pass trivially
+  where only timing gates exist.
+
+Each threshold is defined once, here; the benches import it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.history import (
-    Ledger,
-    timing_fields,
-    validate_artifact,
-)
-
 __all__ = [
+    "ARTIFACT_PRESETS",
+    "ARTIFACT_SCHEMA_VERSION",
     "ASSEMBLY_SPEEDUP_GATE",
     "BASELINE_GATES",
-    "DEFAULT_FLOOR_S",
-    "DEFAULT_RATIO",
     "INSTRUMENTATION_OVERHEAD_GATE",
     "KRON_MEMORY_WIN_GATE",
     "LP_PERSISTENT_SWEEP_GATE",
     "SentinelReport",
     "TRANSIENT_REUSE_GATE",
-    "check_artifact",
+    "benchmark_from_path",
     "check_baseline_gates",
+    "validate_artifact",
 ]
 
-#: Relative tolerance band: fresh timing above ``ratio`` x baseline is a
-#: candidate regression.  1.5x absorbs normal CI-runner variance.
-DEFAULT_RATIO = 1.5
+#: Envelope schema version; ``benchmarks/bench_reporting.py`` writes it.
+ARTIFACT_SCHEMA_VERSION = 1
 
-#: Absolute band: the excess must also exceed this many seconds, so
-#: sub-50ms cases can never regress on noise alone.
-DEFAULT_FLOOR_S = 0.05
+#: Presets a valid artifact may declare.
+ARTIFACT_PRESETS = ("quick", "large")
+
+_SCALAR_TYPES = (bool, int, float, str, type(None))
 
 #: Least matvec speedup of one shared transient sweep over a 50-point grid
 #: against 50 single-point sweeps (matvec counts are deterministic).
@@ -106,67 +104,69 @@ class SentinelReport:
         return "\n".join(lines)
 
 
-def check_artifact(
-    artifact_path: "Path | str",
-    ledger: "Ledger | None" = None,
-    *,
-    ratio: float = DEFAULT_RATIO,
-    floor_s: float = DEFAULT_FLOOR_S,
-) -> SentinelReport:
-    """Tolerance-band comparison of a fresh artifact vs the ledger baseline.
+def benchmark_from_path(path: "Path | str") -> str:
+    """Benchmark name encoded in an artifact filename.
 
-    Every entry's timing fields (``t_*_s``) are compared against the
-    latest ledger record for the same (benchmark, preset, case,
-    case_index) — excluding the fresh artifact itself if it was already
-    ingested.  Cases or fields without a baseline are reported as notes,
-    never failures: a brand-new bench must be ingestable before it can
-    be gated.
+    ``BENCH_lp_scaling.json`` and ``BENCH_lp_scaling.quick.json`` both
+    map to ``lp_scaling``.  Raises :class:`ValueError` for filenames
+    outside the ``BENCH_<name>[.quick].json`` contract.
     """
-    ledger = ledger if ledger is not None else Ledger()
-    path = Path(artifact_path)
-    raw = path.read_bytes()
-    payload = validate_artifact(json.loads(raw.decode()), source=path.name)
-    sha = hashlib.sha256(raw).hexdigest()[:16]
-    report = SentinelReport(source=path.name)
-    benchmark, preset = payload["benchmark"], payload["preset"]
-    counts: dict[str, int] = {}
-    for entry in payload["entries"]:
-        case = entry["case"]
-        index = counts.get(case, 0)
-        counts[case] = index + 1
-        fresh = timing_fields(entry)
-        base_rec = ledger.baseline_for(
-            benchmark, preset, case, index, exclude_sha=sha
+    name = Path(path).name
+    if not (name.startswith("BENCH_") and name.endswith(".json")):
+        raise ValueError(f"not a BENCH_*.json artifact name: {name!r}")
+    stem = name[len("BENCH_") : -len(".json")]
+    if stem.endswith(".quick"):
+        stem = stem[: -len(".quick")]
+    if not stem:
+        raise ValueError(f"artifact name has an empty benchmark: {name!r}")
+    return stem
+
+
+def validate_artifact(payload: dict, *, source: str = "artifact") -> dict:
+    """Check one bench artifact against the shared envelope schema.
+
+    The envelope is ``{"schema": 1, "benchmark": str, "preset":
+    "quick"|"large", "python": str, "entries": [{"case": str, ...scalar
+    fields...}]}`` with every float finite.  Raises :class:`ValueError`
+    naming ``source`` on the first violation; returns ``payload`` so the
+    call composes (``validate_artifact(json.load(f))``).
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{source}: artifact must be a JSON object")
+    if payload.get("schema") != ARTIFACT_SCHEMA_VERSION:
+        raise ValueError(
+            f"{source}: schema must be {ARTIFACT_SCHEMA_VERSION}, "
+            f"got {payload.get('schema')!r}"
         )
-        if base_rec is None:
-            # The only ledger record may be this very content (the
-            # "ingest then rerun unmodified" flow): a self-comparison is
-            # trivially within band, which is exactly the verdict an
-            # unmodified rerun should get.
-            base_rec = ledger.baseline_for(benchmark, preset, case, index)
-        label = f"{case}#{index}" if index else case
-        if base_rec is None:
-            if fresh:
-                report.notes.append(f"{label}: no baseline in ledger (new case)")
-            continue
-        base = timing_fields(base_rec["fields"])
-        for name, fresh_v in sorted(fresh.items()):
-            base_v = base.get(name)
-            if base_v is None:
-                report.notes.append(f"{label}.{name}: no baseline field")
-                continue
-            if fresh_v > base_v * ratio and fresh_v - base_v > floor_s:
-                report.regressions.append(
-                    f"{label}.{name}: {fresh_v:.4g}s vs baseline "
-                    f"{base_v:.4g}s @ {base_rec['rev']} "
-                    f"({fresh_v / base_v:.2f}x > {ratio:g}x band)"
+    benchmark = payload.get("benchmark")
+    if not isinstance(benchmark, str) or not benchmark:
+        raise ValueError(f"{source}: benchmark must be a non-empty string")
+    if payload.get("preset") not in ARTIFACT_PRESETS:
+        raise ValueError(
+            f"{source}: preset must be one of {ARTIFACT_PRESETS}, "
+            f"got {payload.get('preset')!r}"
+        )
+    if not isinstance(payload.get("python"), str):
+        raise ValueError(f"{source}: python must be a version string")
+    entries = payload.get("entries")
+    if not isinstance(entries, list) or not entries:
+        raise ValueError(f"{source}: entries must be a non-empty list")
+    for i, entry in enumerate(entries):
+        where = f"{source}: entries[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be an object")
+        case = entry.get("case")
+        if not isinstance(case, str) or not case:
+            raise ValueError(f"{where} must have a non-empty 'case'")
+        for key, value in entry.items():
+            if not isinstance(value, _SCALAR_TYPES):
+                raise ValueError(
+                    f"{where} field {key!r} has non-scalar type "
+                    f"{type(value).__name__}"
                 )
-            else:
-                report.notes.append(
-                    f"{label}.{name}: {fresh_v:.4g}s within band of "
-                    f"{base_v:.4g}s"
-                )
-    return report
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{where} field {key!r} is non-finite")
+    return payload
 
 
 # -- declarative baseline gates (the former CI heredocs) -------------------
@@ -307,15 +307,25 @@ BASELINE_GATES = {
 def check_baseline_gates(artifact_path: "Path | str") -> SentinelReport:
     """Run the declarative invariant gates over one artifact.
 
-    Validates the envelope, then applies the benchmark's
-    :data:`BASELINE_GATES` entry.  Unknown benchmarks pass with a note —
-    a new bench gets schema validation for free and adds its gates here
-    when it has invariants worth enforcing.
+    Checks the naming contract and the envelope, then applies the
+    benchmark's :data:`BASELINE_GATES` entry.  Raises
+    :class:`ValueError` for a file outside the contract, an invalid
+    envelope, or a ``BENCH_<name>`` whose ``<name>`` is not the
+    artifact's ``benchmark`` (it would be gated as the wrong benchmark).
+    Unknown benchmarks pass with a note — a new bench gets schema
+    validation for free and adds its gates here when it has invariants
+    worth enforcing.
     """
     path = Path(artifact_path)
+    name = benchmark_from_path(path)
     payload = validate_artifact(
         json.loads(path.read_text()), source=path.name
     )
+    if payload["benchmark"] != name:
+        raise ValueError(
+            f"{path.name}: file name says benchmark {name!r}, "
+            f"the artifact says {payload['benchmark']!r}"
+        )
     report = SentinelReport(source=path.name)
     gate = BASELINE_GATES.get(payload["benchmark"])
     if gate is None:

@@ -8,11 +8,7 @@ from repro.runtime import SolverRegistry
 from repro.runtime.cache import ResultCache
 from repro.runtime.sweep import SweepRunner, SweepSpec
 from repro.scenarios import get_scenario
-from repro.utils.errors import (
-    NotSupportedError,
-    UnsupportedNetworkError,
-    ValidationError,
-)
+from repro.utils.errors import UnsupportedNetworkError, ValidationError
 from repro.workloads.tandem import tandem_model
 
 CLOSED_SCENARIOS = ("bursty-tandem", "fig5-case-study", "tpcw")
@@ -48,7 +44,8 @@ class TestDispatch:
         assert err.value.method == "fluid"
 
     def test_refinement_hook_reserved(self, registry, tandem):
-        with pytest.raises(NotSupportedError, match="refinement"):
+        """The reserved ``refinement=`` hook is gone: an unknown option."""
+        with pytest.raises(TypeError, match="refinement"):
             registry.solve(tandem, "fluid", refinement="diffusion")
 
     def test_bad_times_string_rejected(self, tandem):

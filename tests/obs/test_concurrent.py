@@ -1,4 +1,4 @@
-"""Concurrent telemetry: threaded trace round-trips, sweep ledger parity."""
+"""Concurrent telemetry: threaded trace round-trips, sweep artifact parity."""
 
 import json
 import threading
@@ -9,7 +9,7 @@ import pytest
 import repro.obs as obs
 from repro.maps import exponential, fit_map2
 from repro.network import Network, queue
-from repro.obs.history import Ledger
+from repro.obs.sentinel import validate_artifact
 from repro.runtime import SolverRegistry
 from repro.runtime.sweep import SweepRunner
 
@@ -136,8 +136,8 @@ class TestSpanHandover:
         assert tele.snapshot().counters["handover.steps"] == self.N_THREADS
 
 
-class TestSweepLedgerParity:
-    """Serial and parallel sweeps produce identical ledger records."""
+class TestSweepArtifactParity:
+    """Serial and parallel sweeps produce identical bench artifacts."""
 
     #: Counters that must agree whichever executor ran the sweep.
     DETERMINISTIC = ("registry.cache_miss", "sweep.points")
@@ -172,22 +172,15 @@ class TestSweepLedgerParity:
         path.write_text(json.dumps(payload, indent=2) + "\n")
         return path
 
-    def test_serial_parallel_ledger_records_identical(self, tmp_path):
-        ledger = Ledger(tmp_path / "perf")
+    def test_serial_parallel_artifacts_identical(self, tmp_path):
         serial = self._sweep_artifact(tmp_path, workers=1)
         parallel = self._sweep_artifact(tmp_path, workers=2)
-        # the deterministic fields are byte-identical across executors, so
-        # the content-addressed ingest recognizes the parallel artifact as
-        # the same measurement
+        # the deterministic fields are byte-identical across executors
         assert serial.read_bytes() == parallel.read_bytes()
-        assert ledger.ingest(serial, rev="r", timestamp="2026-01-01T00:00:00Z")
-        assert (
-            ledger.ingest(parallel, rev="r", timestamp="2026-01-02T00:00:00Z")
-            == 0
-        )
-        (rec,) = ledger.records(benchmark="sweepdemo")
-        assert rec["fields"]["n_registry_solve"] == len(POPULATIONS)
-        assert rec["fields"]["sweep_points"] == len(POPULATIONS)
+        payload = validate_artifact(json.loads(serial.read_text()), source=serial.name)
+        (entry,) = payload["entries"]
+        assert entry["n_registry_solve"] == len(POPULATIONS)
+        assert entry["sweep_points"] == len(POPULATIONS)
 
     def test_completed_points_gauge_reaches_n_on_both_paths(self):
         for workers in (1, 2):

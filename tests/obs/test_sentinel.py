@@ -1,17 +1,19 @@
-"""Regression sentinel: tolerance bands and declarative baseline gates."""
+"""The BENCH artifact envelope, its naming contract, and the baseline gates."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.obs.history import Ledger
+from repro.obs.__main__ import main
 from repro.obs.sentinel import (
     ASSEMBLY_SPEEDUP_GATE,
+    BASELINE_GATES,
     INSTRUMENTATION_OVERHEAD_GATE,
     LP_PERSISTENT_SWEEP_GATE,
-    check_artifact,
+    benchmark_from_path,
     check_baseline_gates,
+    validate_artifact,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -34,92 +36,48 @@ def write(path: Path, payload: dict) -> Path:
     return path
 
 
-@pytest.fixture()
-def seeded(tmp_path):
-    """A ledger holding one baseline snapshot of the demo benchmark."""
-    ledger = Ledger(tmp_path / "perf")
-    base = write(
-        tmp_path / "BENCH_demo.quick.json",
-        artifact(entries=[
-            {"case": "solve", "t_wall_s": 1.0, "t_tiny_s": 0.001},
-        ]),
+class TestValidateArtifact:
+    def test_valid_payload_passes_through(self):
+        payload = artifact()
+        assert validate_artifact(payload) is payload
+
+    @pytest.mark.parametrize(
+        "mutate, match",
+        [
+            (lambda p: p.update(schema=2), "schema"),
+            (lambda p: p.update(benchmark=""), "benchmark"),
+            (lambda p: p.update(preset="huge"), "preset"),
+            (lambda p: p.update(python=None), "python"),
+            (lambda p: p.update(entries=[]), "entries"),
+            (lambda p: p["entries"][0].pop("case"), "case"),
+            (lambda p: p["entries"][0].update(bad=[1, 2]), "non-scalar"),
+            (lambda p: p["entries"][0].update(t_x_s=float("inf")), "non-finite"),
+        ],
     )
-    ledger.ingest(base, rev="base", timestamp="2026-01-01T00:00:00Z")
-    return ledger, tmp_path
+    def test_violations_raise_with_source(self, mutate, match):
+        payload = artifact()
+        mutate(payload)
+        with pytest.raises(ValueError, match=match):
+            validate_artifact(payload, source="BENCH_demo.json")
+
+    def test_all_committed_artifacts_validate(self):
+        # A named set, not a file count: the ``BENCH_*.quick.json`` CI
+        # artifacts are gitignored, so what is on disk varies by checkout.
+        for name in BASELINE_GATES:
+            path = REPO_ROOT / f"BENCH_{name}.json"
+            payload = validate_artifact(json.loads(path.read_text()), source=path.name)
+            assert payload["benchmark"] == benchmark_from_path(path) == name
 
 
-class TestToleranceBands:
-    def test_within_band_passes(self, seeded):
-        ledger, tmp = seeded
-        fresh = write(
-            tmp / "BENCH_demo_f.quick.json",
-            artifact(entries=[
-                {"case": "solve", "t_wall_s": 1.3, "t_tiny_s": 0.0012},
-            ]),
-        )
-        report = check_artifact(fresh, ledger)
-        assert report.ok
-        assert any("within band" in n for n in report.notes)
+class TestNamingContract:
+    def test_benchmark_parsing(self):
+        assert benchmark_from_path("BENCH_lp_scaling.json") == "lp_scaling"
+        assert benchmark_from_path("a/b/BENCH_lp_scaling.quick.json") == "lp_scaling"
 
-    def test_clear_slowdown_fails(self, seeded):
-        ledger, tmp = seeded
-        fresh = write(
-            tmp / "BENCH_demo_f.quick.json",
-            artifact(entries=[
-                {"case": "solve", "t_wall_s": 2.2, "t_tiny_s": 0.001},
-            ]),
-        )
-        report = check_artifact(fresh, ledger)
-        assert not report.ok
-        (msg,) = report.regressions
-        assert "solve.t_wall_s" in msg and "@ base" in msg
-
-    def test_relative_breach_below_floor_is_noise(self, seeded):
-        # 10x slower but only +9ms: under the absolute floor, not a regression
-        ledger, tmp = seeded
-        fresh = write(
-            tmp / "BENCH_demo_f.quick.json",
-            artifact(entries=[
-                {"case": "solve", "t_wall_s": 1.0, "t_tiny_s": 0.01},
-            ]),
-        )
-        assert check_artifact(fresh, ledger).ok
-
-    def test_absolute_excess_without_ratio_breach_is_noise(self, seeded):
-        ledger, tmp = seeded
-        fresh = write(
-            tmp / "BENCH_demo_f.quick.json",
-            artifact(entries=[
-                {"case": "solve", "t_wall_s": 1.4, "t_tiny_s": 0.001},
-            ]),
-        )
-        assert check_artifact(fresh, ledger).ok
-
-    def test_unknown_case_is_a_note_not_a_failure(self, seeded):
-        ledger, tmp = seeded
-        fresh = write(
-            tmp / "BENCH_demo_f.quick.json",
-            artifact(entries=[{"case": "brand_new", "t_wall_s": 9.0}]),
-        )
-        report = check_artifact(fresh, ledger)
-        assert report.ok
-        assert any("no baseline" in n for n in report.notes)
-
-    def test_unmodified_rerun_self_compares_within_band(self, seeded):
-        ledger, tmp = seeded
-        report = check_artifact(tmp / "BENCH_demo.quick.json", ledger)
-        assert report.ok
-        assert any("within band" in n for n in report.notes)
-
-    def test_band_parameters_are_adjustable(self, seeded):
-        ledger, tmp = seeded
-        fresh = write(
-            tmp / "BENCH_demo_f.quick.json",
-            artifact(entries=[
-                {"case": "solve", "t_wall_s": 1.3, "t_tiny_s": 0.001},
-            ]),
-        )
-        assert not check_artifact(fresh, ledger, ratio=1.1, floor_s=0.0).ok
+    @pytest.mark.parametrize("name", ["results.json", "BENCH_.json", "BENCH_x.txt"])
+    def test_off_contract_names_raise(self, name):
+        with pytest.raises(ValueError):
+            benchmark_from_path(name)
 
 
 class TestBaselineGates:
@@ -251,3 +209,44 @@ class TestBaselineGates:
             artifact("lp_scaling", "quick", entries),
         )
         assert check_baseline_gates(quick).ok  # timing gates are large-only
+
+
+class TestBaselineCLI:
+    """``python -m repro.obs sentinel baseline`` exit codes."""
+
+    def test_committed_artifacts_exit_zero(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        paths = [f"BENCH_{name}.json" for name in BASELINE_GATES]
+        assert main(["sentinel", "baseline", *paths]) == 0
+
+    def test_no_artifact_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sentinel", "baseline"]) == 1
+        assert "no BENCH_*.json" in capsys.readouterr().err
+
+    def test_failing_gate_exits_one(self, tmp_path, monkeypatch, capsys):
+        write(
+            tmp_path / "BENCH_transient.quick.json",
+            artifact("transient", entries=[
+                {"case": "transient_grid_reuse", "matvec_speedup": 2.0},
+                {"case": "transient_registry_cache", "t_solve_s": 0.1},
+            ]),
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["sentinel", "baseline"]) == 1
+        assert "verdict: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name, match",
+        [
+            # a kron artifact saved as the fluid record would otherwise be
+            # gated as kron, and the fluid gates would never run
+            ("BENCH_fluid.json", "'fluid'.*'kron'"),
+            ("kron.json", "not a BENCH_"),
+        ],
+    )
+    def test_misnamed_artifact_raises(self, tmp_path, name, match):
+        kron = json.loads((REPO_ROOT / "BENCH_kron.json").read_text())
+        path = write(tmp_path / name, kron)
+        with pytest.raises(ValueError, match=match):
+            main(["sentinel", "baseline", str(path)])

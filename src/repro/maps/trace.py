@@ -3,14 +3,18 @@
 Two entry points:
 
 * :class:`MapSampler` — a reusable per-MAP sampler with precomputed jump
-  tables; the simulator holds one per station and asks for one service time
-  at a time, carrying the frozen phase across idle periods.
+  tables.  :meth:`~MapSampler.sample_one` draws one interval at a time;
+  :meth:`~MapSampler.sample_block` draws a block of consecutive intervals,
+  which is how the simulator (:mod:`repro.sim.engine`) feeds each station
+  and its external arrivals, carrying the phase from block to block.
 * :func:`sample_intervals` — a convenience wrapper producing a stationary
   interarrival sequence (used by the statistical tests that cross-validate
   the analytic moment/ACF formulas against Monte-Carlo estimates).
 
-Both go through :meth:`MapSampler.sample_one`, one jump at a time: an
-exponential holding time, then one uniform draw to pick the jump.
+:meth:`~MapSampler.sample_one` and :func:`sample_intervals` walk one jump at
+a time: an exponential holding time, then one uniform draw to pick the
+jump.  :meth:`~MapSampler.sample_block` makes the same walk over variates
+drawn in arrays, so it consumes its stream differently.
 """
 
 from __future__ import annotations
@@ -85,6 +89,40 @@ class MapSampler:
             if j >= K:  # D1 jump: event fires, next phase is j - K
                 return total, j - K
             h = j
+
+    def sample_block(
+        self, n: int, phase: int, gen: np.random.Generator
+    ) -> tuple[list[float], int]:
+        """``n`` consecutive intervals from ``phase``, variates drawn in arrays.
+
+        Returns ``(intervals, phase_after_last_event)``.  A 1-phase MAP is
+        one scaled ``standard_exponential(n)``.  Otherwise each round draws
+        one holding time and one jump uniform per event still missing (every
+        event takes at least one jump) and walks the jump tables, so no
+        variate is drawn and left unused.
+        """
+        scales = self._scales
+        if self.order == 1:
+            return (scales[0] * gen.standard_exponential(n)).tolist(), 0
+        K, cum = self.order, self._cum
+        out: list[float] = []
+        append = out.append
+        h = phase
+        total = 0.0
+        while len(out) < n:
+            m = n - len(out)
+            for e, u in zip(
+                gen.standard_exponential(m).tolist(), gen.random(m).tolist()
+            ):
+                total += e * scales[h]
+                j = bisect_right(cum[h], u)
+                if j >= K:  # D1 jump: event fires, next phase is j - K
+                    append(total)
+                    total = 0.0
+                    h = j - K
+                else:
+                    h = j
+        return out, h
 
     def sample_many(self, n: int, phase: int, rng) -> tuple[np.ndarray, int]:
         """Sample ``n`` consecutive interevent times; returns (array, phase)."""

@@ -7,9 +7,12 @@ describe the same computation, so the digest is a safe cache key — stable
 across process restarts, interpreter versions, and machines (float bytes are
 serialized in fixed little-endian IEEE-754, independent of platform order).
 
-The schema version below is baked into every digest: bump it whenever the
-semantics of any registered solver change, so stale on-disk cache entries
-from older code are never served.
+Two versions keep stale on-disk cache entries from older code from being
+served.  :data:`SCHEMA_VERSION` is baked into every digest, network digests
+included: bump it only when the canonical encoding itself changes.  When
+one solver starts giving different answers for the same call (a new
+algorithm, a new random stream), bump that method in
+:data:`ALGORITHM_VERSION` instead: only that method's solve keys move.
 """
 
 from __future__ import annotations
@@ -28,8 +31,13 @@ __all__ = [
     "fingerprint_sweep",
 ]
 
-#: Bump to invalidate every existing cache entry (schema/solver semantics).
+#: Bump to invalidate every existing cache entry (canonical encoding).
 SCHEMA_VERSION = 1
+
+#: Per-method algorithm version, mixed into that method's solve keys only.
+#: A method absent here keys exactly as before it was ever listed.
+#: ``sim`` 2: per-station child streams, block-drawn variates.
+ALGORITHM_VERSION: dict[str, int] = {"sim": 2}
 
 
 class FingerprintError(TypeError):
@@ -119,6 +127,8 @@ def fingerprint_solve(
 ) -> str:
     """Hex digest identifying one ``solve(network, method, **opts)`` call.
 
+    Methods listed in :data:`ALGORITHM_VERSION` also key on their version.
+
     Raises
     ------
     FingerprintError
@@ -131,6 +141,8 @@ def fingerprint_solve(
         "method": method,
         "opts": dict(opts),
     }
+    if method in ALGORITHM_VERSION:
+        tree["algorithm"] = ALGORITHM_VERSION[method]
     return hashlib.sha256(_canon(tree)).hexdigest()
 
 

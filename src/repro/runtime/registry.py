@@ -624,9 +624,10 @@ class SolverRegistry:
     Parameters
     ----------
     cache:
-        A :class:`~repro.runtime.cache.ResultCache`, or ``None`` to disable
-        caching entirely.  The default builds a two-tier cache rooted at
-        ``.repro-cache/`` (``REPRO_CACHE_DIR`` overrides).
+        A :class:`~repro.runtime.cache.ResultCache`, or ``None`` (the
+        default) to cache nothing.  Only the process-wide default registry,
+        :func:`repro.runtime.get_registry`, builds a two-tier ``ResultCache()``
+        rooted at ``.repro-cache/`` (``REPRO_CACHE_DIR`` overrides).
     """
 
     def __init__(self, cache: ResultCache | None = None) -> None:

@@ -18,26 +18,35 @@ All three network kinds simulate through the same event loop:
 Design: a binary-heap event calendar holds one service-completion event per
 busy server plus, for open chains, the single pending external-arrival
 event.  Statistics (busy-time/queue-length integrals, completion counts,
-per-visit response times) are accumulated lazily per station and reset once
-at the warmup boundary.
+per-visit response times) are accumulated per station as running sums of
+event epochs and restarted once at the warmup boundary.
 
 The loop runs on Python-native state, because numpy scalars cost more per
 event than the work they carry: station counters and integrals are plain
 ``int``/``float`` attributes, FCFS queues are ``deque`` objects, and the
-routing rows and MAP jump tables (about three entries each) are lists of
-cumulative probabilities searched with :func:`bisect.bisect_right`.  Arrays
-appear only in the returned :class:`SimResult`.  The loop is
-stream-identical to the array-based one it replaced: every event makes the
-same ``gen.exponential``/``gen.random`` calls in the same order, and IEEE
-double arithmetic gives the same bits on either representation, so a seeded
-run reproduces its earlier results exactly (``tests/sim/test_golden.py``).
+arrival, service-start and integral updates are written inline.  Arrays
+appear only in the returned :class:`SimResult`.
+
+Random variates follow **stream version 2**.  The run's generator spawns
+one child stream per station (:func:`repro.utils.rng.spawn`) and, for open
+chains, one more for the external arrivals.  A station's phase is frozen
+while it is idle, so the intervals of its successive services form one MAP
+interval sequence whatever the rest of the network does.  Each station
+therefore draws them ahead of the loop, in blocks that grow from
+``_FIRST_BLOCK`` to ``_MAX_BLOCK`` values
+(:meth:`~repro.maps.trace.MapSampler.sample_block`), together with one
+routing destination per service; the arrival stream draws interarrival
+intervals and entry stations the same way.  The loop only reads the next
+pre-drawn tuple.  A seeded run is reproducible bit for bit
+(``tests/sim/test_golden.py``); a change to the draws must bump the ``sim``
+entry of :data:`repro.runtime.fingerprint.ALGORITHM_VERSION`, so that
+cached answers of the previous stream are not served.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -47,12 +56,14 @@ from repro import obs
 from repro.maps.trace import MapSampler
 from repro.network.model import Network
 from repro.sim.taps import FlowTap, QueueTap
-from repro.utils.rng import as_rng
+from repro.utils.rng import as_rng, spawn
 
 __all__ = ["SimResult", "simulate"]
 
-#: Calendar marker for external-arrival events (not a station index).
+#: Calendar sources that are not a station: an external arrival, and a
+#: closed job's initial placement.
 _ARRIVAL = -1
+_PLACE = -2
 
 
 @dataclass
@@ -141,60 +152,93 @@ class SimResult:
         return float(self.mean_queue_length_open.sum()) / sink_rate
 
 
+#: Geometric block growth: a short run draws little ahead, a long one
+#: amortizes each generator call over thousands of values.
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 4096
+
+
+def _blocks(sampler: MapSampler, phase, gen: np.random.Generator, rows):
+    """Endless ``(interval, destination, ...)`` tuples drawn in blocks.
+
+    Each block draws ``n`` consecutive intervals from ``sampler`` (from
+    ``phase``, or an embedded-stationary phase drawn from ``gen`` when
+    ``None``), then ``n`` uniforms that pick one destination per
+    cumulative row in ``rows``.  Everything comes from ``gen`` in a fixed
+    order, so the tuples depend on that stream alone.
+    """
+    if phase is None:
+        phase = 0 if sampler.order == 1 else sampler.initial_phase(gen)
+    n = _FIRST_BLOCK
+    while True:
+        intervals, phase = sampler.sample_block(n, phase, gen)
+        u = gen.random(n)
+        yield from zip(
+            intervals, *(np.searchsorted(row, u, side="right").tolist() for row in rows)
+        )
+        n = min(2 * n, _MAX_BLOCK)
+
+
 class _StationSim:
-    """Runtime state and post-warmup statistics of one station."""
+    """Runtime state and post-warmup statistics of one station.
+
+    The integrals are running sums of event epochs: an arrival subtracts
+    ``now`` from ``qlen_int`` and a departure adds it, so between events
+    ``qlen_int + n * now`` is the area under the queue length.  The same
+    holds for ``qlen_open_int`` (open-chain jobs) and for ``busy_int``
+    (the station turning busy or idle).
+    """
 
     __slots__ = (
         "servers",
-        "sampler",
-        "phase",
-        "scale",
+        "service",
         "waiting",
-        "in_service",
         "n",
         "n_open",
-        "arrival_time",
-        "last_change",
         "busy_int",
         "qlen_int",
         "qlen_open_int",
         "completions",
         "completions_open",
         "resp",
+        "arr_taps",
+        "dep_taps",
+        "q_taps",
+        "tapped",
     )
 
-    def __init__(self, station, rng) -> None:
+    def __init__(self, station, service) -> None:
         self.servers = station.servers if station.kind == "multiserver" else (
             math.inf if station.kind == "delay" else 1
         )
+        self.service = service
         self.n = 0
         self.n_open = 0
-        self.in_service = 0
         self.waiting: deque[int] = deque()  # FCFS order of jobs not yet in service
-        self.arrival_time: dict[int, float] = {}
-        if station.kind == "queue":
-            self.sampler = MapSampler(station.service)
-            self.phase = self.sampler.initial_phase(rng)
-            self.scale = 0.0
-        else:
-            self.sampler = None
-            self.phase = 0
-            self.scale = 1.0 / float(station.service.D1[0, 0])
+        self.arr_taps: list[FlowTap] = []
+        self.dep_taps: list[FlowTap] = []
+        self.q_taps: list[QueueTap] = []
+        self.tapped = False
         self.reset_statistics(0.0)
 
     def reset_statistics(self, now: float) -> None:
-        """Zero the integrals and counts; the warmup boundary calls this."""
-        self.last_change = now  # last time n changed
-        self.busy_int = 0.0
-        self.qlen_int = 0.0
-        self.qlen_open_int = 0.0
+        """Restart the integrals and counts at ``now`` (the warmup boundary)."""
+        self.qlen_int = -self.n * now
+        self.qlen_open_int = -self.n_open * now
+        self.busy_int = -now if self.n else 0.0
         self.completions = 0
         self.completions_open = 0
         self.resp: list[float] = []
-        self.arrival_time.clear()
+
+    def close_statistics(self, now: float) -> None:
+        """Integrate the jobs still present up to the stop time ``now``."""
+        self.qlen_int += self.n * now
+        self.qlen_open_int += self.n_open * now
+        if self.n:
+            self.busy_int += now
 
 
-def _routing_cum(P: np.ndarray, open_chain: bool) -> list[list[float]]:
+def _routing_cum(P: np.ndarray, open_chain: bool) -> np.ndarray:
     """Cumulative routing rows; open rows gain a terminal sink column.
 
     Closed rows are forced to end at 1 over the last *station* (guarding
@@ -205,7 +249,7 @@ def _routing_cum(P: np.ndarray, open_chain: bool) -> list[list[float]]:
         P = np.hstack([P, np.zeros((P.shape[0], 1))])
     cum = np.cumsum(P, axis=1)
     cum[:, -1] = 1.0
-    return cum.tolist()
+    return cum
 
 
 def simulate(
@@ -306,26 +350,10 @@ def _simulate(
     initial_phases,
 ) -> SimResult:
     """Uninstrumented event-loop body of :func:`simulate`."""
-    gen = as_rng(rng)
-    random = gen.random
-    exponential = gen.exponential
     horizon_events = int(horizon_events)
     M = network.n_stations
     kind = network.kind
     N = network.population if kind != "open" else 0
-    taps = taps or []
-    arr_taps: list[list[FlowTap]] = [[] for _ in range(M)]
-    dep_taps: list[list[FlowTap]] = [[] for _ in range(M)]
-    q_taps: list[list[QueueTap]] = [[] for _ in range(M)]
-    for tap in taps:
-        if tap.direction == "queue":
-            q_taps[tap.station].append(tap)
-        else:
-            (arr_taps if tap.direction == "arrival" else dep_taps)[
-                tap.station
-            ].append(tap)
-
-    stations = [_StationSim(st, gen) for st in network.stations]
     if initial_phases is not None:
         if len(initial_phases) != M:
             raise ValueError(
@@ -336,83 +364,6 @@ def _simulate(
                 raise ValueError(
                     f"initial phase {phase} out of range for station {k}"
                 )
-            stations[k].phase = int(phase)
-    closed_cum = (
-        _routing_cum(network.routing, open_chain=False)
-        if kind in ("closed", "mixed")
-        else None
-    )
-    open_cum = (
-        _routing_cum(np.asarray(network.open_routing_matrix), open_chain=True)
-        if kind != "closed"
-        else None
-    )
-    if kind != "closed":
-        entry_cum = np.cumsum(np.asarray(network.entry))
-        entry_cum[-1] = 1.0
-        entry_cum = entry_cum.tolist()
-        arrival_sampler = MapSampler(network.arrivals)
-        arrival_phase = arrival_sampler.initial_phase(gen)
-    next_open_job = N  # open jobs get fresh ids above the closed range
-
-    calendar: list[tuple[float, int, int, int]] = []  # (time, seq, station, job)
-    seq = 0
-    now = 0.0
-
-    # Statistics live on the stations and are reset at the warmup boundary.
-    stat_t0 = 0.0
-    sink_departures = 0
-    external_arrivals = 0
-    collecting = warmup_events == 0
-
-    def _flush(st: _StationSim) -> None:
-        """Bring a station's integrals up to `now`."""
-        dt = now - st.last_change
-        if dt > 0.0:
-            st.qlen_int += st.n * dt
-            st.qlen_open_int += st.n_open * dt
-            if st.n >= 1:
-                st.busy_int += dt
-        st.last_change = now
-
-    def _start_service(k: int, st: _StationSim) -> None:
-        """Start jobs at station k while servers are free (FCFS)."""
-        nonlocal seq
-        while st.waiting and st.in_service < st.servers:
-            job = st.waiting.popleft()
-            st.in_service += 1
-            if st.sampler is not None:
-                interval, st.phase = st.sampler.sample_one(st.phase, gen)
-            else:
-                interval = exponential(st.scale)
-            seq += 1
-            heapq.heappush(calendar, (now + interval, seq, k, job))
-
-    def _arrive(k: int, job: int) -> None:
-        st = stations[k]
-        _flush(st)
-        st.n += 1
-        if job >= N:
-            st.n_open += 1
-        st.waiting.append(job)
-        if collecting:
-            st.arrival_time[job] = now
-            for tap in arr_taps[k]:
-                tap.record(now)
-            for tap in q_taps[k]:
-                tap.record(now, st.n)
-        _start_service(k, st)
-
-    def _schedule_arrival() -> None:
-        """Queue the next external-arrival event (open/mixed only)."""
-        nonlocal seq, arrival_phase
-        interval, arrival_phase = arrival_sampler.sample_one(arrival_phase, gen)
-        seq += 1
-        heapq.heappush(calendar, (now + interval, seq, _ARRIVAL, -1))
-
-    # Initial state: closed jobs at `initial_station` (or spread per
-    # `initial_populations`), open chains empty with the first arrival
-    # pending.
     if initial_populations is not None:
         pops = [int(n) for n in initial_populations]
         if len(pops) != M or any(n < 0 for n in pops) or sum(pops) != N:
@@ -423,63 +374,136 @@ def _simulate(
         placement = [k for k in range(M) for _ in range(pops[k])]
     else:
         placement = [initial_station] * N
-    for job, k0 in enumerate(placement):
-        _arrive(k0, job)
-    if kind != "closed":
-        _schedule_arrival()
 
+    # Stream version 2 (see the module docstring): one child stream per
+    # station, one more for the external arrivals.
+    streams = spawn(as_rng(rng), M + 1 if kind != "closed" else M)
+    closed_cum = _routing_cum(network.routing, False) if kind != "open" else None
+    open_cum = (
+        _routing_cum(np.asarray(network.open_routing_matrix), True)
+        if kind != "closed"
+        else None
+    )
+    stations = []
+    for k, station in enumerate(network.stations):
+        # Tuples carry a closed-job and an open-job destination; a
+        # single-class network routes both by its one routing matrix.
+        rows = [cum[k] for cum in (closed_cum, open_cum) if cum is not None]
+        service = _blocks(
+            MapSampler(station.service),
+            None if initial_phases is None else int(initial_phases[k]),
+            streams[k],
+            rows * 2 if len(rows) == 1 else rows,
+        ).__next__
+        stations.append(_StationSim(station, service))
+    taps = taps or []
+    for tap in taps:
+        st = stations[tap.station]
+        st.tapped = True
+        if tap.direction == "queue":
+            st.q_taps.append(tap)
+        else:
+            (st.arr_taps if tap.direction == "arrival" else st.dep_taps).append(tap)
+
+    # Calendar entries are (time, source, job, destination).  The source is
+    # the station whose service completes, _ARRIVAL or _PLACE; the
+    # destination (a station, or M for the sink) is drawn when the event is
+    # scheduled.  Closed jobs enter as placements at time 0, open jobs as
+    # external arrivals with fresh ids above the closed range.
+    calendar: list[tuple[float, int, int, int]] = [
+        (0.0, _PLACE, job, k0) for job, k0 in enumerate(placement)
+    ]
+    n_events = -len(calendar)  # placements are not calendar events
+    if kind != "closed":
+        entry_cum = np.cumsum(np.asarray(network.entry))
+        entry_cum[-1] = 1.0
+        arrival = _blocks(
+            MapSampler(network.arrivals), None, streams[M], [entry_cum]
+        ).__next__
+        interval, k0 = arrival()
+        calendar.append((interval, _ARRIVAL, N, k0))
+    next_open_job = N + 1
+    heapq.heapify(calendar)
+
+    stat_t0 = 0.0
+    sink_departures = 0
+    external_arrivals = 0
+    collecting = warmup_events == 0
+    arrival_time: dict[int, float] = {}  # job -> arrival epoch at its station
+    t_stop = math.inf if horizon_time is None else horizon_time
     total_completions = 0
-    n_events = 0
+    now = 0.0
     stopped_on_time = False
-    heappop = heapq.heappop
+    heappop, heappush = heapq.heappop, heapq.heappush
     while total_completions < horizon_events:
         if not calendar:
             raise RuntimeError("event calendar ran dry (no busy stations)")
-        if horizon_time is not None and calendar[0][0] >= horizon_time:
+        now, j, job, k = heappop(calendar)
+        if now >= t_stop:
+            now = t_stop
             stopped_on_time = True
             break
-        now, _, j, job = heappop(calendar)
         n_events += 1
 
-        if j == _ARRIVAL:
-            if collecting:
-                external_arrivals += 1
-            _arrive(bisect_right(entry_cum, random()), next_open_job)
-            next_open_job += 1
-            _schedule_arrival()
-            continue
-
-        st = stations[j]
-        _flush(st)
-        st.n -= 1
-        if job >= N:
-            st.n_open -= 1
-        st.in_service -= 1
-        total_completions += 1
-        if collecting:
+        if j >= 0:
+            # Service completion at station j.
+            st = stations[j]
+            n = st.n - 1
+            st.n = n
+            st.qlen_int += now
+            if n == 0:
+                st.busy_int += now
             st.completions += 1
             if job >= N:
+                st.n_open -= 1
+                st.qlen_open_int += now
                 st.completions_open += 1
-            t_arr = st.arrival_time.pop(job, None)
+            t_arr = arrival_time.pop(job, None)
             if t_arr is not None:
                 st.resp.append(now - t_arr)
-            for tap in dep_taps[j]:
-                tap.record(now)
-            for tap in q_taps[j]:
-                tap.record(now, st.n)
-        else:
-            st.arrival_time.pop(job, None)
-        if st.waiting:
-            _start_service(j, st)
-
-        # Route the job by its class (closed ids are 0..N-1).
-        k = bisect_right((closed_cum if job < N else open_cum)[j], random())
-        if k >= M:
-            # Open-chain exit to the sink: the job leaves the system.
+            if st.tapped and collecting:
+                for tap in st.dep_taps:
+                    tap.record(now)
+                for tap in st.q_taps:
+                    tap.record(now, n)
+            if n >= st.servers:
+                nxt = st.waiting.popleft()
+                interval, dc, do = st.service()
+                heappush(calendar, (now + interval, j, nxt, dc if nxt < N else do))
+            total_completions += 1
+        elif j == _ARRIVAL:
             if collecting:
-                sink_departures += 1
-        else:
-            _arrive(k, job)
+                external_arrivals += 1
+            interval, k0 = arrival()
+            heappush(calendar, (now + interval, _ARRIVAL, next_open_job, k0))
+            next_open_job += 1
+
+        if k < M:
+            # Arrival of the job at station k.
+            st = stations[k]
+            n = st.n
+            if n == 0:
+                st.busy_int -= now
+            st.n = n + 1
+            st.qlen_int -= now
+            if job >= N:
+                st.n_open += 1
+                st.qlen_open_int -= now
+            if collecting:
+                arrival_time[job] = now
+                if st.tapped:
+                    for tap in st.arr_taps:
+                        tap.record(now)
+                    for tap in st.q_taps:
+                        tap.record(now, n + 1)
+            if n < st.servers:
+                interval, dc, do = st.service()
+                heappush(calendar, (now + interval, k, job, dc if job < N else do))
+            else:
+                st.waiting.append(job)
+        elif collecting:
+            # Open-chain exit to the sink: the job leaves the system.
+            sink_departures += 1
 
         if not collecting and total_completions >= warmup_events:
             # Warmup boundary: reset all statistics, keep the system state.
@@ -494,20 +518,18 @@ def _simulate(
             # Re-seed queue taps with the live occupancy: a reset path
             # that restarts at level `initial` would misreport every
             # station as empty until its next queue-length change.
-            for k2, st in enumerate(stations):
-                for tap in q_taps[k2]:
+            for st in stations:
+                for tap in st.q_taps:
                     tap.record(now, st.n)
 
     if not collecting:
         raise RuntimeError(
             "simulation horizon too short: warmup boundary never reached"
         )
-    # Final flush: integrate statistics up to the exact stop time (the
-    # time horizon when it fired first, else the last processed event).
-    if stopped_on_time:
-        now = horizon_time
+    # Integrate statistics up to the exact stop time (the time horizon
+    # when it fired first, else the last processed event).
     for st in stations:
-        _flush(st)
+        st.close_statistics(now)
     duration = now - stat_t0
     if duration <= 0.0:
         raise RuntimeError("simulation horizon too short: zero measured duration")

@@ -259,16 +259,14 @@ class TestTrajectories:
             )
 
 
-class TestMidScaleSimCrossCheck:
-    def test_steady_fluid_within_sim_envelope(self, registry):
+class TestMidScaleExactCrossCheck:
+    def test_steady_fluid_within_exact(self, registry):
         """Mid-scale: deep in saturation the fluid steady point must sit
-        within a few percent of a seeded simulation."""
+        within a few percent of the exact answer (40,602 states)."""
         net = get_scenario("fig5-case-study").network(population=200)
-        fluid = registry.solve(net, "fluid")
-        sim = registry.solve(net, "sim", rng=7, horizon_events=400_000)
-        xf = fluid.system_throughput_point()
-        xs = sim.system_throughput_point()
-        assert abs(xf - xs) / xs < 0.05
+        xf = registry.solve(net, "fluid").system_throughput_point()
+        xe = registry.solve(net, "exact").system_throughput_point()
+        assert abs(xf - xe) / xe < 0.05
 
 
 class TestSweeps:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.maps import (
     MapSampler,
+    erlang,
     exponential,
     fit_map2,
     h2_correlated,
@@ -92,3 +93,48 @@ class TestMapSampler:
         a = sample_intervals(bursty, 100, rng=42)
         b = sample_intervals(bursty, 100, rng=42)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            fit_map2(mean=1.0, scv=9.0, gamma2=0.5),
+            mmpp2(0.1, 0.3, 4.0, 0.5),  # hidden D0 jumps between events
+            erlang(3, 3.0),
+            exponential(2.0),
+        ],
+        ids=["map2", "mmpp2", "erlang3", "exponential"],
+    )
+    def test_sample_block_walks_like_sample_one(self, m):
+        """Fed the same variates, the block walk and the one-jump-at-a-time
+        walk give the same intervals and end phase, bit for bit."""
+        sampler = MapSampler(m)
+        one, h = [], 0
+        gen = _Scripted(7)
+        for _ in range(300):
+            interval, h = sampler.sample_one(h, gen)
+            one.append(interval)
+        block, h_block = sampler.sample_block(300, 0, _Scripted(7))
+        assert block == one
+        assert h_block == h
+
+
+class _Scripted(np.random.Generator):
+    """Deals one fixed list of standard exponentials and one of uniforms in
+    order, whether asked for one value at a time or for arrays."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(np.random.PCG64(seed))
+        src = np.random.default_rng(seed)
+        self._e = iter(src.standard_exponential(5_000).tolist())
+        self._u = iter(src.random(5_000).tolist())
+
+    def exponential(self, scale=1.0, size=None):
+        return scale * next(self._e)
+
+    def standard_exponential(self, size=None):
+        return np.array([next(self._e) for _ in range(size)])
+
+    def random(self, size=None):
+        if size is None:
+            return next(self._u)
+        return np.array([next(self._u) for _ in range(size)])

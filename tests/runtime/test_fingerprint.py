@@ -9,7 +9,14 @@ import pytest
 
 from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
-from repro.runtime import FingerprintError, fingerprint_network, fingerprint_solve
+from repro.runtime import (
+    FingerprintError,
+    ResultCache,
+    SolverRegistry,
+    fingerprint_network,
+    fingerprint_solve,
+)
+from repro.runtime import fingerprint as fingerprint_mod
 
 ROUTING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -84,3 +91,41 @@ class TestCrossProcessStability:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == here
+
+
+class TestAlgorithmVersion:
+    """A per-method algorithm version retires that method's entries only."""
+
+    SOLVES = {
+        "sim": {"rng": 1, "horizon_events": 2_000, "warmup_events": 200},
+        "exact": {},
+        "mva": {},
+    }
+
+    def _from_cache(self, directory) -> dict:
+        registry = SolverRegistry(cache=ResultCache(directory=directory))
+        return {
+            method: registry.solve(tandem(), method, **opts).from_cache
+            for method, opts in self.SOLVES.items()
+        }
+
+    @pytest.mark.parametrize("bumped", ["sim", "exact"])
+    def test_bump_misses_that_method_and_hits_the_rest(
+        self, bumped, tmp_path, monkeypatch
+    ):
+        assert not any(self._from_cache(tmp_path).values())
+        assert all(self._from_cache(tmp_path).values())
+        table = fingerprint_mod.ALGORITHM_VERSION
+        monkeypatch.setitem(table, bumped, table.get(bumped, 1) + 1)
+        assert self._from_cache(tmp_path) == {m: m != bumped for m in self.SOLVES}
+
+    def test_unlisted_methods_keep_their_keys(self):
+        """Solve keys recorded before the version table existed."""
+        net = tandem()
+        assert "lp" not in fingerprint_mod.ALGORITHM_VERSION
+        assert fingerprint_solve(net, "lp", {"triples": False}) == (
+            "f110c0482bb8c39854f5d2382f335f803d868fb6e61fb9c0289a6ab3880c090d"
+        )
+        assert fingerprint_solve(net, "exact", {}) == (
+            "61a8845f8ab33a6d5b12f0660044bb7ea4917b73b926bd6fdcd35787eb08957f"
+        )

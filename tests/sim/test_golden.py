@@ -1,12 +1,14 @@
 """Seeded simulation runs reproduce recorded outputs bit for bit.
 
-The event loop keeps station state in Python scalars and searches its
-routing rows and MAP jump tables with ``bisect``; it must still consume
-exactly the same ``gen.exponential``/``gen.random`` stream in the same
-order as the numpy-scalar implementation these values were recorded
-with.  Floats are stored as ``float.hex`` strings and compared with
-``==``, so any change to the draw order or to the accumulation
-arithmetic shows up here.
+The ``simulate`` goldens pin **stream version 2**: every station draws its
+service intervals and routing destinations in blocks from its own child
+stream, and open networks draw interarrival intervals and entry stations
+from one more.  Floats are stored as ``float.hex`` strings and compared
+with ``==``, so any change to the draw order or to the accumulation
+arithmetic shows up here, and must come with a new ``sim`` entry in
+:data:`repro.runtime.fingerprint.ALGORITHM_VERSION`.  The
+``sample_intervals`` golden pins :meth:`MapSampler.sample_one`'s
+one-jump-at-a-time stream.
 """
 
 import hashlib
@@ -139,127 +141,128 @@ RUNS = {
     "sample_intervals": run_sample_intervals,
 }
 
-#: Recorded with the numpy-scalar event loop (``np.searchsorted`` routing,
-#: ndarray accumulators) that predates the Python-native engine.
+#: The six ``simulate`` runs pin stream version 2 (per-station child
+#: streams, block-drawn variates).  ``sample_intervals`` keeps the
+#: one-jump-at-a-time stream it was first recorded with.
 GOLDEN = {
     "closed_tpcw": {
-        "completions": [4457, 9000, 4543],
-        "duration": "0x1.f1c232e95e7b6p+10",
+        "completions": [4612, 8999, 4389],
+        "duration": "0x1.008e90b77a83bp+11",
         "mean_queue_length": [
-            "0x1.f8b174693022ep+3",
-            "0x1.596833354f5e5p-3",
-            "0x1.e8eac9faa0157p-5",
+            "0x1.f8dcf3e805032p+3",
+            "0x1.5713d5549cfaep-3",
+            "0x1.c6bcc2a889142p-5",
         ],
         "n_events": 20000,
         "response_mean": [
-            "0x1.c1aac6da5cf88p+2",
-            "0x1.31a6f13de83edp-5",
-            "0x1.ac9e152f3265dp-6",
+            "0x1.bfd9dd88f419ap+2",
+            "0x1.38f9f013cbcc4p-5",
+            "0x1.a91bec374a7f3p-6",
         ],
         "throughput": [
-            "0x1.1e885035417fap+1",
-            "0x1.214bff6b96bc8p+2",
-            "0x1.240faea1ebf96p+1",
+            "0x1.1f9fd2c10d783p+1",
+            "0x1.189bbafd908dfp+2",
+            "0x1.11b79171e3cc5p+1",
         ],
         "utilization": [
             "0x1.0000000000000p+0",
-            "0x1.12384ca2469bcp-4",
-            "0x1.cd9019862b0d5p-5",
+            "0x1.ecd0d28456eddp-5",
+            "0x1.afd3fca43115bp-5",
         ],
     },
     "horizon_time": {
-        "completions": [84, 187, 99],
+        "completions": [78, 170, 88],
         "duration": "0x1.4000000000000p+5",
         "mean_queue_length": [
-            "0x1.e03f8ea4b4028p+3",
-            "0x1.d57f3e5feb5bbp-1",
-            "0x1.343ebaa6a3d8ap-4",
+            "0x1.f23797686bc7ep+3",
+            "0x1.6e27bbae0004ap-2",
+            "0x1.2b955d121bf40p-4",
         ],
-        "n_events": 370,
+        "n_events": 336,
         "response_mean": [
-            "0x1.51855e74d7ef7p+2",
-            "0x1.91b56d7f3f1b7p-3",
-            "0x1.f22c7dd1d7abbp-6",
+            "0x1.93eccc637c71cp+2",
+            "0x1.589dddd0f0f55p-4",
+            "0x1.10593d5647f52p-5",
         ],
         "throughput": [
-            "0x1.0cccccccccccdp+1",
-            "0x1.2b33333333333p+2",
-            "0x1.3cccccccccccdp+1",
+            "0x1.f333333333333p+0",
+            "0x1.1000000000000p+2",
+            "0x1.199999999999ap+1",
         ],
         "utilization": [
             "0x1.0000000000000p+0",
-            "0x1.1aa2d984d0e29p-3",
-            "0x1.00a6ea88da213p-4",
+            "0x1.85cfb616b2d73p-4",
+            "0x1.0257538078a8dp-4",
         ],
     },
     "mixed_tpcw": {
-        "completions": [2548, 11066, 4386],
-        "completions_open": [0, 6006, 1874],
-        "duration": "0x1.28b04f72c4872p+10",
-        "external_arrivals": 6006,
+        "completions": [2612, 11092, 4296],
+        "completions_open": [0, 5984, 1800],
+        "duration": "0x1.2be10e918374cp+10",
+        "external_arrivals": 5984,
         "mean_queue_length": [
-            "0x1.dd9f04f92ad08p+3",
-            "0x1.530d69f945e7dp+2",
-            "0x1.db9520b855a98p-4",
+            "0x1.e3ee7ad33db1fp+3",
+            "0x1.ec88912553befp+1",
+            "0x1.d8db0c9a270d3p-4",
         ],
         "mean_queue_length_open": [
             "0x0.0p+0",
-            "0x1.1256d7cc27992p+2",
-            "0x1.b178512aa3f33p-5",
+            "0x1.849d1b49ab0cdp+1",
+            "0x1.9b0e635c2d3f7p-5",
         ],
         "n_events": 26611,
         "response_mean": [
-            "0x1.bab4ceef19cbbp+2",
-            "0x1.22e38f4659ca7p-1",
-            "0x1.016417ca1e1cfp-5",
+            "0x1.ba4fb41208d36p+2",
+            "0x1.aa260bf391213p-2",
+            "0x1.080f099b5a618p-5",
         ],
-        "sink_departures": 6006,
+        "sink_departures": 5984,
         "throughput": [
-            "0x1.12d1ed4e95ddap+1",
-            "0x1.2a6306542b41ep+3",
-            "0x1.d90fbcdbde9b1p+1",
+            "0x1.16b9c319a15bbp+1",
+            "0x1.27e7e8506dda3p+3",
+            "0x1.ca6cb93d5d48dp+1",
         ],
         "utilization": [
-            "0x1.0000000000000p+0",
-            "0x1.8250b0f137e78p-3",
-            "0x1.744899bedbcd4p-4",
+            "0x1.fdf77a067210fp-1",
+            "0x1.5b06355bc30f5p-3",
+            "0x1.71f6137229b43p-4",
         ],
     },
     "multiserver": {
-        "completions": [4499, 2689, 1812],
-        "duration": "0x1.23429977d3ae2p+11",
+        "completions": [4499, 2741, 1760],
+        "duration": "0x1.35e74bdb2aa5cp+11",
         "mean_queue_length": [
-            "0x1.4cf45b56860f0p+2",
-            "0x1.4864bb6c6afb7p+0",
-            "0x1.83c9d7397cd31p+0",
+            "0x1.50ddd158d9342p+2",
+            "0x1.4bc9fc623b2c9p+0",
+            "0x1.70bebe3a6002bp+0",
         ],
         "n_events": 10000,
         "response_mean": [
-            "0x1.59004ec364ed1p+1",
-            "0x1.1cb6939754cb3p+0",
-            "0x1.f2e48c80ac97bp+0",
+            "0x1.735a5eb890e38p+1",
+            "0x1.2c23e8eb8c47bp+0",
+            "0x1.032ef17372c3ep+1",
         ],
         "throughput": [
-            "0x1.ee4b2294828d1p+0",
-            "0x1.276ef854c7921p+0",
-            "0x1.8e28d594d12d3p-1",
+            "0x1.d08eb936f699ep+0",
+            "0x1.1b07b0a0c6613p+0",
+            "0x1.6b77cda00cad0p-1",
         ],
         "utilization": [
-            "0x1.eed0ed3c82611p-1",
-            "0x1.35e6f4a1c5615p-1",
-            "0x1.5b66edafba3c8p-1",
+            "0x1.ee81cc5dd8b56p-1",
+            "0x1.37df5f3ea5bd5p-1",
+            "0x1.5f420b601579bp-1",
         ],
     },
     "open_mm1": {
         "completions": [9000],
-        "duration": "0x1.5a4f7681f940bp+13",
-        "external_arrivals": 9005,
-        "mean_queue_length": ["0x1.2b723da0e33e4p+2"],
-        "n_events": 20005,
-        "response_mean": ["0x1.70ae18c3908f9p+2"],
+        "duration": "0x1.55f0bc5ac24aep+13",
+        "external_arrivals": 9002,
+        "mean_queue_length": ["0x1.32aa915027646p+2"],
+        "n_events": 20007,
+        "response_mean": ["0x1.74b4f5a8413c8p+2"],
         "sink_departures": 9000,
-        "throughput": ["0x1.9fcfdb475552ep-1"],
-        "utilization": ["0x1.9e523cd37528ap-1"],
+        "throughput": ["0x1.a52044fdfd310p-1"],
+        "utilization": ["0x1.a8f683d2ff50bp-1"],
     },
     "sample_intervals": {
         "first": ["0x1.3462dc92b0b86p+0"],
@@ -268,46 +271,46 @@ GOLDEN = {
         "sum": ["0x1.095cea8b3e54fp+10"],
     },
     "taps": {
-        "completions": [3603, 2125, 1472],
-        "duration": "0x1.de1456d756aeep+10",
+        "completions": [3600, 2137, 1463],
+        "duration": "0x1.d33176111c32ap+10",
         "mean_queue_length": [
-            "0x1.4a7d5f6fc7df7p+2",
-            "0x1.4cba7627f1a4ap+0",
-            "0x1.89500c18eede3p+0",
+            "0x1.4b5d89d4f9a28p+2",
+            "0x1.4271d693bb356p+0",
+            "0x1.901802185e3f5p+0",
         ],
         "n_events": 8000,
-        "queue_levels": [1, 3],
+        "queue_levels": [3, 2],
         "response_mean": [
-            "0x1.5e6c130b5f0b3p+1",
-            "0x1.2a666a3dd092fp+0",
-            "0x1.fe22f6bb42ff3p+0",
+            "0x1.57f498bd337a9p+1",
+            "0x1.19f8d66c9fb2ap+0",
+            "0x1.ff35de87ec613p+0",
         ],
         "taps": [
             {
-                "count": 2125,
-                "first": ["0x1.a586ef2d5109cp+7"],
-                "last": ["0x1.093ed5f326f10p+11"],
+                "count": 2137,
+                "first": ["0x1.7087e752243bcp+7"],
+                "last": ["0x1.00613fdf5076dp+11"],
             },
             {
-                "count": 1476,
-                "first": ["0x1.ab57d555059e9p+7"],
-                "last": ["0x1.094b07a45f44cp+11"],
+                "count": 1464,
+                "first": ["0x1.70af87ecd0842p+7"],
+                "last": ["0x1.009541410d6ebp+11"],
             },
             {
-                "count": 4253,
-                "first": ["0x1.a442d7c1c36e2p+7"],
-                "last": ["0x1.094e58e7c78e5p+11"],
+                "count": 4274,
+                "first": ["0x1.6fc94f422f491p+7"],
+                "last": ["0x1.00954ffcb10dep+11"],
             },
         ],
         "throughput": [
-            "0x1.e254727ee92c8p+0",
-            "0x1.1c78b7335503fp+0",
-            "0x1.8a1c37c1271d3p-1",
+            "0x1.ed28692713c2cp+0",
+            "0x1.24be759a1cb9dp+0",
+            "0x1.90d3e719ee11fp-1",
         ],
         "utilization": [
-            "0x1.ee72bcbc52c14p-1",
-            "0x1.3d1bc6660cc2ap-1",
-            "0x1.6770f4e6cf588p-1",
+            "0x1.efc387b2cdd8fp-1",
+            "0x1.37a5e0a4e132fp-1",
+            "0x1.675d8bd4e456bp-1",
         ],
     },
 }
@@ -316,3 +319,70 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_seeded_run_is_bit_identical(name):
     assert RUNS[name]() == GOLDEN[name]
+
+
+# Stream version 2 properties -------------------------------------------------
+
+
+def test_int_seed_reproduces_run_bit_for_bit():
+    net = get_scenario("mixed-tpcw").network(16)
+    a, b = (
+        simulate(net, horizon_events=5_000, warmup_events=500, rng=7)
+        for _ in range(2)
+    )
+    assert _digest(a) == _digest(b)
+    assert all(
+        np.array_equal(x, y) for x, y in zip(a.response_samples, b.response_samples)
+    )
+
+
+def test_one_generator_twice_gives_two_runs():
+    """Each call spawns fresh child streams from the generator's seed
+    sequence; transient ensembles pass one generator to every replica."""
+    net = get_scenario("tpcw").network(16)
+    gen = np.random.default_rng(7)
+    a, b = (
+        simulate(net, horizon_events=5_000, warmup_events=500, rng=gen)
+        for _ in range(2)
+    )
+    assert a.duration != b.duration
+    assert _digest(a) != _digest(b)
+
+
+def _service_intervals(arrivals: FlowTap, departures: FlowTap) -> np.ndarray:
+    """Service intervals of a single-server FCFS station from its flow taps:
+    the i-th service starts at ``max(a_i, d_{i-1})`` and ends at ``d_i``."""
+    d = departures.times()
+    a = arrivals.times()[: len(d)]
+    return d - np.maximum(a, np.concatenate([[-np.inf], d[:-1]]))
+
+
+def test_station_intervals_do_not_depend_on_the_rest_of_the_network():
+    """Station ``a`` (MAP(2), single server) sees different arrivals when
+    station ``b`` routes elsewhere, yet serves the same interval sequence."""
+    runs = []
+    for b_to in (0, 1):
+        routing = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 0.0]])
+        routing[2, b_to] = 1.0
+        net = Network(
+            [
+                delay("z", exponential(1.0)),
+                queue("a", fit_map2(0.5, 4.0, 0.3)),
+                queue("b", exponential(2.0)),
+            ],
+            routing,
+            6,
+        )
+        taps = [FlowTap(1, "arrival"), FlowTap(1, "departure")]
+        simulate(net, horizon_events=4_000, warmup_events=0, rng=5, taps=taps)
+        runs.append(taps)
+    (arr1, dep1), (arr2, dep2) = runs
+    n = min(dep1.count, dep2.count)
+    assert n > 1_000
+    assert not np.allclose(arr1.times()[:n], arr2.times()[:n])
+    np.testing.assert_allclose(
+        _service_intervals(arr1, dep1)[:n],
+        _service_intervals(arr2, dep2)[:n],
+        rtol=1e-9,
+        atol=1e-9,
+    )

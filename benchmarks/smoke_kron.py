@@ -49,9 +49,19 @@ REPLICATIONS = 10_000
 
 
 def _arm_no_q_tripwire() -> None:
-    """Make any generator assembly for the rest of the process fatal."""
+    """Make any generator assembly for the rest of the process fatal.
+
+    ``repro.network.exact.generator_for`` is the one place that assembles
+    ``Q``, through its module's ``build_generator``.  The tripwire raises
+    if that name is gone, so a later move cannot silently disarm it.
+    """
     import repro.network.exact as exact_mod
-    import repro.transient.metrics as metrics_mod
+
+    if not callable(getattr(exact_mod, "build_generator", None)):
+        raise AssertionError(
+            "repro.network.exact.build_generator is missing: the tripwire "
+            "would guard nothing"
+        )
 
     def tripped(*args, **kwargs):
         raise AssertionError(
@@ -59,7 +69,6 @@ def _arm_no_q_tripwire() -> None:
         )
 
     exact_mod.build_generator = tripped
-    metrics_mod.build_generator = tripped
 
 
 def main() -> int:

@@ -23,12 +23,10 @@ the paper's terms.  This module stores only the **factors** and computes
 Storage is ``O(S + M * Sc)`` (the diagonal plus the composition index
 arrays) instead of ``O(nnz(Q))``; one matvec costs the same
 ``O(S * sum_j K_j)`` arithmetic as a sparse multiply would, without ever
-assembling ``Q``.  :meth:`KroneckerGenerator.materialize` rebuilds the
-sparse matrix for small spaces — emitting transitions in exactly the
-assembled generator's order, so the result is bit-compatible with
-:func:`repro.network.exact.build_generator` (the equivalence suite in
-``tests/markov/test_kronop_equivalence.py`` asserts canonical-CSR
-equality on every catalog scenario).
+assembling ``Q``.  The equivalence suite in
+``tests/markov/test_kronop_equivalence.py`` checks matvec, rmatvec and the
+diagonal against :func:`repro.network.exact.build_generator` on every
+closed catalog scenario.
 
 This module is network-agnostic: it consumes plain factor data
 (:class:`StationFactor`).  The glue that derives factors from a
@@ -41,7 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro import obs
@@ -337,7 +334,7 @@ class KroneckerGenerator(spla.LinearOperator):
         return Y.reshape(-1)
 
     # ------------------------------------------------------------------ #
-    # diagnostics and escape hatches
+    # diagnostics
     # ------------------------------------------------------------------ #
     def rowsum_residual(self) -> float:
         """``max_i |sum_j Q_ij|`` via one matvec — the generator invariant."""
@@ -351,7 +348,10 @@ class KroneckerGenerator(spla.LinearOperator):
         return total
 
     def materialized_nnz(self) -> int:
-        """COO entries :meth:`materialize` would emit (before dedup).
+        """Entries of the assembled generator before duplicates are summed.
+
+        One per transition :func:`~repro.network.exact.build_generator`
+        emits, plus the diagonal.
 
         Closed form from the factor sparsity patterns — the honest basis
         for the memory-win benchmark at sizes where materializing to
@@ -384,82 +384,6 @@ class KroneckerGenerator(spla.LinearOperator):
                         total += n_busy * int(counts[a])
         total += self.shape[0]  # the diagonal
         return total
-
-    def materialize(self, comp_ranks_check: bool = False) -> sp.csr_matrix:
-        """Assemble the sparse ``Q`` this operator represents.
-
-        Emits transitions in exactly the order of
-        :func:`repro.network.exact.build_generator` — same loops, same
-        float products — so the resulting CSR matrix is bit-identical to
-        the directly assembled generator (asserted by the equivalence
-        suite).  An escape hatch for small spaces; at operator scale this
-        is precisely the allocation the matrix-free path avoids.
-        """
-        n_phase = self.n_phase
-        digits = self.phase_digits
-        strides = self._strides
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-
-        def emit(comp_src, comp_dst, ph_src, ph_dst, rate_per_comp, unit_rate):
-            r = (comp_src[:, None] * n_phase + ph_src[None, :]).ravel()
-            c = (comp_dst[:, None] * n_phase + ph_dst[None, :]).ravel()
-            v = np.broadcast_to(
-                (rate_per_comp * unit_rate)[:, None],
-                (len(comp_src), len(ph_src)),
-            ).ravel()
-            rows.append(r)
-            cols.append(c)
-            vals.append(np.ascontiguousarray(v))
-
-        for f in self.factors:
-            j = f.station
-            Kj = f.order
-            busy = f.busy
-            if len(busy) == 0:
-                continue
-            scale = f.scale[busy]
-            ph_groups = [np.nonzero(digits[:, j] == a)[0] for a in range(Kj)]
-            stride_j = strides[j]
-            dst_by_target = {m.target: m.dst for m in f.moves}
-            for k in range(len(f.p_row)):
-                p_jk = f.p_row[k]
-                if p_jk <= 0.0:
-                    continue
-                comp_dst = busy if k == j else dst_by_target[k]
-                for a in range(Kj):
-                    ph_src = ph_groups[a]
-                    for b in range(Kj):
-                        rate = f.D1[a, b] * p_jk
-                        if rate <= 0.0:
-                            continue
-                        if k == j and a == b:
-                            continue
-                        ph_dst = ph_src + (b - a) * stride_j
-                        emit(busy, comp_dst, ph_src, ph_dst, scale, rate)
-            for a in range(Kj):
-                ph_src = ph_groups[a]
-                for b in range(Kj):
-                    if a == b:
-                        continue
-                    rate = f.D0[a, b]
-                    if rate <= 0.0:
-                        continue
-                    ph_dst = ph_src + (b - a) * stride_j
-                    emit(busy, busy, ph_src, ph_dst, scale, rate)
-
-        S = self.shape[0]
-        if rows:
-            r = np.concatenate(rows)
-            c = np.concatenate(cols)
-            v = np.concatenate(vals)
-        else:
-            r = c = np.empty(0, dtype=np.int64)
-            v = np.empty(0)
-        Q = sp.coo_matrix((v, (r, c)), shape=(S, S)).tocsr()
-        Q.setdiag(Q.diagonal() - np.asarray(Q.sum(axis=1)).ravel())
-        return Q
 
     # ------------------------------------------------------------------ #
     # preconditioning support

@@ -22,17 +22,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.markov.ctmc import steady_state_ctmc
 from repro.network.model import Network, require_closed
-from repro.network.statespace import NetworkStateSpace, expected_state_count
+from repro.network.statespace import (
+    NetworkStateSpace,
+    expected_state_count,
+    get_statespace_cache,
+)
+
+if TYPE_CHECKING:
+    from repro.markov.kronop import KroneckerGenerator
 
 __all__ = [
     "OPERATOR_MAX_STATES",
     "build_generator",
+    "generator_for",
     "solve_exact",
     "ExactSolution",
 ]
@@ -138,6 +147,7 @@ class ExactSolution:
     network: Network
     space: NetworkStateSpace
     pi: np.ndarray  # flat, length space.size
+    backend: str = "dense"  # the generator that produced pi
 
     @cached_property
     def _pi2(self) -> np.ndarray:
@@ -287,13 +297,47 @@ class ExactSolution:
         return acc.reshape(N + 1, Kj, Kk).transpose(1, 0, 2)
 
 
+def generator_for(
+    network: Network, max_states: int, backend: str
+) -> "tuple[NetworkStateSpace, sp.csr_matrix | KroneckerGenerator, str]":
+    """State space and generator of the network's CTMC, and their backend.
+
+    The one front end of the exact and transient tiers.  ``backend`` is
+    ``"dense"`` (assemble the sparse generator), ``"operator"`` (the
+    matrix-free Kronecker generator, never building ``Q``) or ``"auto"``
+    (dense within ``max_states``, operator beyond it); the resolved name
+    is returned.  ``max_states`` guards the dense backend and
+    :data:`OPERATOR_MAX_STATES` the operator: the closed-form
+    :func:`expected_state_count` is checked *before* enumerating, since an
+    over-limit space would exhaust memory while it is built.  The space
+    comes from the process-wide
+    :func:`~repro.network.statespace.get_statespace_cache`.
+    """
+    require_closed(network, "exact")
+    if backend not in ("auto", "dense", "operator"):
+        raise ValueError(f"unknown backend {backend!r}")
+    expected = expected_state_count(network)
+    if backend == "auto":
+        backend = "dense" if expected <= max_states else "operator"
+    limit = max_states if backend == "dense" else OPERATOR_MAX_STATES
+    if expected > limit:
+        raise MemoryError(
+            f"state space has {expected} states (> max_states={limit}); "
+            "use the LP bounds (repro.core) or simulation (repro.sim) instead"
+        )
+    space = get_statespace_cache().space_for(network)
+    if backend == "operator":
+        from repro.network.kron import kronecker_generator
+
+        return space, kronecker_generator(network, space), backend
+    return space, build_generator(network, space), backend
+
+
 def solve_exact(
     network: Network,
     method: str = "auto",
     max_states: int = 2_000_000,
-    space: NetworkStateSpace | None = None,
     backend: str = "dense",
-    operator_max_states: int = OPERATOR_MAX_STATES,
 ) -> ExactSolution:
     """Solve the network's CTMC exactly.
 
@@ -307,55 +351,10 @@ def solve_exact(
         Guard rail of the **dense** backend: refuse to assemble ``Q`` for
         state spaces larger than this (the paper's "prohibitive" regime)
         instead of exhausting memory.
-    space:
-        Optional prebuilt state space for this network.  Population sweeps
-        pass one assembled from a
-        :class:`~repro.network.statespace.StateSpaceCache` so the phase
-        digit tables and masks are enumerated once per topology instead of
-        once per point.
     backend:
-        ``"dense"`` (assemble the sparse generator; the default, and the
-        historical behavior), ``"operator"`` (matrix-free Kronecker
-        generator + Krylov solve, never building ``Q``), or ``"auto"``
-        (dense within ``max_states``, operator beyond it up to
-        ``operator_max_states``).
-    operator_max_states:
-        Guard rail of the operator backend (the solve still holds O(10)
-        state-length vectors).
+        ``"dense"`` (the default), ``"operator"`` (Krylov solve on the
+        matrix-free generator) or ``"auto"``; see :func:`generator_for`.
     """
-    require_closed(network, "exact")
-    if backend not in ("auto", "dense", "operator"):
-        raise ValueError(f"unknown backend {backend!r}")
-    expected = expected_state_count(network) if space is None else space.size
-    if backend == "auto":
-        backend = "dense" if expected <= max_states else "operator"
-    limit = max_states if backend == "dense" else operator_max_states
-    if space is None:
-        # Guard with the closed-form count *before* enumerating: an
-        # over-limit composition space would exhaust memory in __init__.
-        if expected > limit:
-            raise MemoryError(
-                f"state space has {expected} states (> max_states="
-                f"{limit}); use the LP bounds (repro.core) or "
-                "simulation (repro.sim) instead"
-            )
-        space = NetworkStateSpace(network)
-    elif space.network is not network and (
-        space.comp.total != network.population
-        or tuple(space.phase_dims) != tuple(network.phase_orders)
-    ):
-        raise ValueError("prebuilt state space does not match the network")
-    if space.size > limit:
-        raise MemoryError(
-            f"state space has {space.size} states (> max_states={limit}); "
-            "use the LP bounds (repro.core) or simulation (repro.sim) instead"
-        )
-    if backend == "operator":
-        from repro.network.kron import kronecker_generator
-
-        op = kronecker_generator(network, space)
-        pi = steady_state_ctmc(op, method=method)
-    else:
-        Q = build_generator(network, space)
-        pi = steady_state_ctmc(Q, method=method)
-    return ExactSolution(network=network, space=space, pi=pi)
+    space, Q, backend = generator_for(network, max_states, backend)
+    pi = steady_state_ctmc(Q, method=method)
+    return ExactSolution(network=network, space=space, pi=pi, backend=backend)

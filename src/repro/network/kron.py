@@ -32,8 +32,7 @@ def kronecker_generator(
     """Matrix-free generator of ``network`` on its joint state space.
 
     Represents the same CTMC as
-    :func:`repro.network.exact.build_generator` — the operator's
-    ``materialize()`` is bit-compatible with it — while storing only
+    :func:`repro.network.exact.build_generator` while storing only
     ``O(S + M * Sc)`` data.  With ``validate=True`` (one matvec) the
     conservation invariant ``Q @ 1 = 0`` is checked, mirroring the rowsum
     validation the dense path performs in ``steady_state_ctmc``.

@@ -15,7 +15,10 @@ Population sweeps re-enumerate nothing: the phase machinery
 (:class:`PhaseLayout` — digits, strides, per-phase masks) depends only on
 the station phase orders, and the composition enumeration only on
 ``(N, M)``; :class:`StateSpaceCache` keys the two independently so a sweep
-over N reuses one :class:`PhaseLayout` across every point.
+over N reuses one :class:`PhaseLayout` across every point.  The exact and
+transient tiers share one such cache per process
+(:func:`get_statespace_cache`), so a model solved by both is enumerated
+once.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "PhaseLayout",
     "StateSpaceCache",
     "expected_state_count",
+    "get_statespace_cache",
 ]
 
 
@@ -41,7 +45,7 @@ def expected_state_count(network: Network) -> int:
     """Closed-form joint state count ``C(N+M-1, N) * prod(K_k)``.
 
     Costs nothing — use it to guard against enumerating a state space that
-    would exhaust memory (see :func:`repro.network.exact.solve_exact`).
+    would exhaust memory (see :func:`repro.network.exact.generator_for`).
     """
     from scipy.special import comb
 
@@ -289,3 +293,19 @@ class StateSpaceCache:
             "compositions": len(self._comps),
             "layouts": len(self._layouts),
         }
+
+
+_default_cache: "StateSpaceCache | None" = None
+
+
+def get_statespace_cache() -> StateSpaceCache:
+    """The process-wide state-space cache (created lazily).
+
+    :func:`repro.network.exact.generator_for` takes every exact and
+    transient space from it; its ``max_cached_cells`` budget alone decides
+    which spaces stay pinned.
+    """
+    global _default_cache
+    if _default_cache is None:
+        _default_cache = StateSpaceCache()
+    return _default_cache

@@ -39,7 +39,6 @@ from repro.baselines.mva import mva
 from repro.core.bounds import Interval
 from repro.network.exact import solve_exact
 from repro.network.model import Network, require_closed
-from repro.network.statespace import StateSpaceCache, expected_state_count
 from repro.qbd.mapm1 import MapM1Queue
 from repro.qbd.opennet import solve_open_network
 from repro.runtime.batch import BatchLPSolver
@@ -268,12 +267,6 @@ def _solve_lp(
     )
 
 
-#: Process-wide state-space component cache for the exact sweep path: one
-#: phase layout (digits + masks) per topology, one composition enumeration
-#: per (N, M) — population sweeps stop re-enumerating phase digits.
-_statespace_cache = StateSpaceCache()
-
-
 def _solve_exact(
     network: Network,
     reference: int = 0,
@@ -289,24 +282,9 @@ def _solve_exact(
     invariant, so ``backend`` is excluded from the cache fingerprint and
     recorded only as provenance in ``extra``.
     """
-    require_closed(network, "exact")
-    expected = expected_state_count(network)
-    # Never pin a space the dense guard would refuse into the process-wide
-    # cache: operator-scale spaces are built (and released) per solve.
-    space = (
-        _statespace_cache.space_for(network)
-        if expected <= max_states
-        else None
-    )
     sol = solve_exact(
-        network,
-        method=ctmc_method,
-        max_states=max_states,
-        space=space,
-        backend=backend,
+        network, method=ctmc_method, max_states=max_states, backend=backend
     )
-    if backend == "auto":
-        backend = "dense" if expected <= max_states else "operator"
     M = network.n_stations
     x = sol.system_throughput(reference)
     return _make_result(
@@ -320,7 +298,7 @@ def _solve_exact(
         extra={
             "n_states": int(sol.space.size),
             "exact": True,
-            "backend": backend,
+            "backend": sol.backend,
         },
     )
 

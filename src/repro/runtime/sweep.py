@@ -25,8 +25,10 @@ processes split the cores between them (each gets ``cores // workers``
 pair threads, at least one), so a sweep runs about one solver thread per
 core (at most ``max(cores, workers)``), never ``workers x cores``.
 
-Run ``python -m repro.runtime.sweep --help`` for a CLI demonstration on the
-paper's Figure 5 case-study network.
+From the command line, ``python -m repro.scenarios sweep <scenario>`` runs a
+:class:`SweepSpec` through this runner (e.g. ``fig5-case-study``, the
+paper's Figure 5 network, with ``--method``, ``--populations``,
+``--workers``, ``--seed`` and ``--no-cache``).
 """
 
 from __future__ import annotations
@@ -369,84 +371,3 @@ class SweepRunner:
             cache=cache,
             **dict(spec.opts),
         )
-
-
-# ---------------------------------------------------------------------- #
-# CLI demo: cached, parallel population sweep on the Figure 5 network
-# ---------------------------------------------------------------------- #
-def main(argv: "list[str] | None" = None) -> None:  # pragma: no cover - CLI
-    """CLI demo: cached, parallel population sweep on the Fig. 5 network."""
-    import argparse
-
-    from repro.experiments.fig8 import fig5_network
-    from repro.utils.tables import format_table
-
-    parser = argparse.ArgumentParser(
-        description="Parallel cached population sweep on the paper's "
-        "Figure 5 case-study network."
-    )
-    parser.add_argument(
-        "--populations",
-        default="2,4,6,8,10,12,14,16",
-        help="comma-separated population list (default: 8 points)",
-    )
-    parser.add_argument("--method", default="lp",
-                        help="solver method (lp/exact/sim/mva/aba/bjb/...)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process count (default: one per point, capped)")
-    parser.add_argument("--seed", type=int, default=2008,
-                        help="base seed for stochastic methods")
-    parser.add_argument("--cache-dir", default=str(default_cache_dir()))
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache")
-    args = parser.parse_args(argv)
-
-    try:
-        populations = [int(tok) for tok in args.populations.split(",") if tok]
-    except ValueError:
-        parser.error(f"--populations must be comma-separated integers, got "
-                     f"{args.populations!r}")
-    if not populations:
-        parser.error("--populations is empty")
-    runner = SweepRunner(
-        cache_dir=None if args.no_cache else args.cache_dir,
-    )
-    net = fig5_network(populations[0])
-    results = runner.population_sweep(
-        net,
-        populations,
-        method=args.method,
-        base_seed=args.seed,
-        workers=args.workers,
-        cache=not args.no_cache,
-    )
-    rows = []
-    for N, res in zip(populations, results):
-        x = res.system_throughput
-        rows.append(
-            [
-                N,
-                res.method,
-                x.lower if x else float("nan"),
-                x.upper if x else float("nan"),
-                res.wall_time_s,
-                "hit" if res.from_cache else "miss",
-            ]
-        )
-    print(
-        format_table(
-            ["N", "method", "X.lo", "X.hi", "solve_s", "cache"],
-            rows,
-            title=f"Population sweep ({args.method}), "
-            f"{runner.last_wall_time_s:.2f}s wall",
-        )
-    )
-    hits = sum(1 for r in results if r.from_cache)
-    print(f"cache: {hits}/{len(results)} points served from cache")
-    stats = runner.registry.cache_stats()
-    if stats and (stats["memory_hits"] or stats["disk_hits"] or stats["misses"]):
-        print(f"local-registry stats: {stats}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -23,14 +23,9 @@ import numpy as np
 
 from repro.markov.ctmc import steady_state_ctmc
 from repro.markov.uniformization import DEFAULT_SERIES_TOL, UniformizedOperator
-from repro.network.exact import OPERATOR_MAX_STATES, build_generator
-from repro.network.kron import kronecker_generator
+from repro.network.exact import generator_for
 from repro.network.model import Network, require_closed
-from repro.network.statespace import (
-    NetworkStateSpace,
-    StateSpaceCache,
-    expected_state_count,
-)
+from repro.network.statespace import NetworkStateSpace
 from repro.transient.engine import transient_grid
 from repro.transient.initial import initial_distribution
 
@@ -177,11 +172,8 @@ def transient_trajectories(
     tol: float = DEFAULT_SERIES_TOL,
     engine: str = "auto",
     accumulate: bool = False,
-    space: "NetworkStateSpace | None" = None,
-    statespace_cache: "StateSpaceCache | None" = None,
     max_states: int = 2_000_000,
     backend: str = "dense",
-    operator_max_states: int = OPERATOR_MAX_STATES,
 ) -> TransientTrajectory:
     """Solve the network's transient CTMC and project station metrics.
 
@@ -200,11 +192,6 @@ def transient_trajectories(
         :func:`repro.transient.engine.transient_grid`.
     accumulate:
         Also produce time-averaged occupancies (uniformization only).
-    space:
-        Optional prebuilt state space for this network.
-    statespace_cache:
-        Optional :class:`~repro.network.statespace.StateSpaceCache` used
-        to assemble the space when ``space`` is not given.
     max_states:
         Guard rail of the dense backend against enumerating/assembling a
         prohibitive joint space.
@@ -212,42 +199,12 @@ def transient_trajectories(
         ``"dense"`` (assemble the sparse generator; the default),
         ``"operator"`` (matrix-free Kronecker generator: the stationary
         reference solves via Krylov and the uniformization sweep runs
-        through the operator, with ``Q`` never built), or ``"auto"``
-        (dense within ``max_states``, operator beyond).
-    operator_max_states:
-        Guard rail of the operator backend.
+        through the operator, with ``Q`` never built), or ``"auto"``;
+        see :func:`repro.network.exact.generator_for`.
     """
     require_closed(network, "transient")
-    if backend not in ("auto", "dense", "operator"):
-        raise ValueError(f"unknown backend {backend!r}")
-    expected = expected_state_count(network) if space is None else space.size
-    if backend == "auto":
-        backend = "dense" if expected <= max_states else "operator"
-    limit = max_states if backend == "dense" else operator_max_states
-    if space is None:
-        if expected > limit:
-            raise MemoryError(
-                f"state space has {expected} states (> max_states="
-                f"{limit}); transient analysis needs the full CTMC — "
-                "use simulation (repro.transient.validation) instead"
-            )
-        space = (
-            statespace_cache.space_for(network)
-            if statespace_cache is not None
-            else NetworkStateSpace(network)
-        )
-    elif space.size > limit:
-        raise MemoryError(
-            f"state space has {space.size} states (> max_states={limit}); "
-            "transient analysis needs the full CTMC — use simulation "
-            "(repro.transient.validation) instead"
-        )
-    if backend == "operator":
-        Q = kronecker_generator(network, space)
-        pi_inf = steady_state_ctmc(Q, method="operator")
-    else:
-        Q = build_generator(network, space)
-        pi_inf = steady_state_ctmc(Q)
+    space, Q, backend = generator_for(network, max_states, backend)
+    pi_inf = steady_state_ctmc(Q)
     pi0_vec = initial_distribution(network, space, pi0, pi_inf=pi_inf)
     operator = UniformizedOperator(Q)
     grid = transient_grid(

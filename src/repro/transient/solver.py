@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.bounds import Interval
 from repro.markov.uniformization import DEFAULT_SERIES_TOL
 from repro.network.model import Network, require_closed
-from repro.network.statespace import StateSpaceCache
 from repro.transient.metrics import transient_trajectories
 from repro.transient.result import TransientResult
 
@@ -73,11 +72,6 @@ def default_time_grid(network: Network) -> tuple[float, ...]:
     )
 
 
-#: Process-wide state-space component cache (mirrors the exact adapter's:
-#: repeated transient solves over one topology re-enumerate nothing).
-_statespace_cache = StateSpaceCache()
-
-
 def solve_transient(
     network: Network,
     times=None,
@@ -107,7 +101,6 @@ def solve_transient(
         tol=tol,
         engine=engine,
         accumulate=accumulate,
-        statespace_cache=_statespace_cache,
         max_states=max_states,
         backend=backend,
     )

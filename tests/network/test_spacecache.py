@@ -1,4 +1,4 @@
-"""State-space component cache: exact sweeps reuse phase machinery."""
+"""State-space component cache: exact and transient solves share one."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,8 @@ from repro.network import (
     queue,
     solve_exact,
 )
+from repro.network.statespace import get_statespace_cache
+from repro.transient import transient_trajectories
 
 
 @pytest.fixture()
@@ -54,18 +56,38 @@ def test_population_sweep_reuses_phase_layout(tandem):
 
 
 def test_cached_space_gives_identical_exact_solution(tandem):
-    cache = StateSpaceCache()
-    plain = solve_exact(tandem)
-    cached = solve_exact(tandem, space=cache.space_for(tandem))
-    np.testing.assert_allclose(plain.pi, cached.pi, rtol=0, atol=0)
-    assert plain.throughput(0) == cached.throughput(0)
+    cache = get_statespace_cache()
+    first = solve_exact(tandem)
+    misses = cache.stats()["misses"]
+    second = solve_exact(tandem)
+    assert cache.stats()["misses"] == misses
+    np.testing.assert_array_equal(first.pi, second.pi)
 
 
 def test_space_mismatch_rejected(tandem):
-    cache = StateSpaceCache()
-    wrong = cache.space_for(tandem.with_population(7))
-    with pytest.raises(ValueError):
+    # A prebuilt space is not an input: nothing could check that it is the
+    # model's, and a population-6 space answered for a population-4 model.
+    wrong = StateSpaceCache().space_for(tandem.with_population(6))
+    with pytest.raises(TypeError):
         solve_exact(tandem, space=wrong)
+    with pytest.raises(TypeError):
+        transient_trajectories(tandem, (0.0, 1.0), space=wrong)
+
+
+def test_exact_then_transient_enumerate_once(tandem):
+    from repro.runtime import SolverRegistry
+
+    cache = get_statespace_cache()
+    cache.clear()
+    registry = SolverRegistry(cache=None)
+    exact = registry.solve(tandem, "exact")
+    misses = cache.stats()["misses"]
+    assert misses > 0
+    transient = registry.solve(tandem, "transient", times=(0.0, 1.0))
+    assert cache.stats()["misses"] == misses
+    assert transient.extra["throughput_inf"] == [
+        iv.lower for iv in exact.throughput
+    ]
 
 
 def test_statespace_rejects_mismatched_components(tandem):

@@ -92,3 +92,29 @@ def test_module_level_imports_are_declared():
             if not {_normalized(d) for d in dists.get(top, [top])} & declared:
                 undeclared.append(f"{path.relative_to(ROOT)}:{line} imports {top}")
     assert undeclared == [], f"not in pyproject.toml dependencies: {undeclared}"
+
+
+#: Process-wide caches and the one module allowed to construct each.
+CACHE_OWNERS = {
+    "StateSpaceCache": "network/statespace.py",
+    "AssemblyCache": "core/assembly.py",
+}
+
+
+def test_process_caches_have_one_owner():
+    """Each process-wide cache class is instantiated in ``src/repro`` only
+    by the module that owns the process's instance; every other module
+    reaches it through that module's getter."""
+    package = ROOT / "src" / "repro"
+    strays = []
+    for path in sorted(package.rglob("*.py")):
+        owner = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in CACHE_OWNERS and CACHE_OWNERS[name] != owner:
+                strays.append(f"{owner}:{node.lineno} constructs {name}")
+    assert strays == [], f"process caches built outside their owner: {strays}"

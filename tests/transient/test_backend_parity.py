@@ -130,11 +130,11 @@ class TestGatingAndGuards:
                 backend="operator",
             )
 
-    def test_operator_guard_rail(self, tandem):
+    def test_operator_guard_rail(self, tandem, monkeypatch):
+        monkeypatch.setattr("repro.network.exact.OPERATOR_MAX_STATES", 3)
         with pytest.raises(MemoryError):
             transient_trajectories(
-                tandem, TIMES, pi0="loaded:q1", backend="operator",
-                operator_max_states=3,
+                tandem, TIMES, pi0="loaded:q1", backend="operator"
             )
 
     def test_auto_backend_crosses_the_wall(self):

@@ -119,7 +119,7 @@ def solve_bounds(
     include_redundant: bool = False,
     triples: bool | None = None,
 ) -> BoundsResult:
-    """Bounds on the standard metric set (one constraint assembly, 4M+2 LPs).
+    """Bounds on the standard metric set (one constraint assembly, 6M LPs).
 
     Parameters
     ----------

@@ -3,28 +3,33 @@
 Every bound of the paper's method is a min and a max LP over the same
 marginal-balance polytope, and a standard-metric sweep asks ``2 * n_metrics``
 of them per model.  Two engines answer those solves, with one interface,
-``solve(c, sense, reuse_basis=False) -> LPRunInfo``:
+``solve(c, sense, start=None) -> LPRunInfo``:
 
 ``PersistentLP``
     wraps one HiGHS instance over one :class:`ConstraintSystem`.  The model
     is passed to the solver once; each objective swaps only the cost vector
-    (``changeColsCost``) and the optimization sense.  The max of a min/max
-    pair restarts primal simplex from the basis the min left
-    (``reuse_basis=True``).  It runs on the HiGHS binding scipy >= 1.15
-    vendors for its own ``linprog`` (a private module, hence the fallback).
-    A cold solve does not depend on what the engine solved before: every
-    attempt clears the basis and sets each option it uses (serial dual
-    simplex when cold, primal on reuse), and the model runs once on the
-    zero objective when it is built, since HiGHS fixes part of a model's
-    numerics at its first run.  So engines over one system give the same
-    bits in any order, which lets ``BatchLPSolver.bound_specs`` hand the
-    pairs of one model to several engines on threads.  An engine is not
-    thread-safe: one thread drives it at a time.
+    (``changeColsCost``) and the optimization sense.  ``start`` is a basis
+    of the same system (``LPRunInfo.basis`` of an earlier solve, on any
+    engine over it): the solve clears the solver, sets that basis and runs
+    primal simplex from it.  The constraints never change, so every vertex
+    is a primal feasible start for every objective.  With no ``start`` the
+    solve is cold: dual simplex with presolve, from nothing.  Interior
+    point ignores start bases, so it always runs cold.  It runs on the
+    HiGHS binding scipy >= 1.15 vendors for its own ``linprog`` (a private
+    module, hence the fallback).  A solve does not depend on what the
+    engine solved before: every attempt clears the solver and sets each
+    option it uses, and the model runs once on the zero objective when it
+    is built, since HiGHS fixes part of a model's numerics at its first
+    run.  So engines over one system give the same bits in any order,
+    which lets ``BatchLPSolver.bound_specs`` hand the pairs of one model to
+    several engines on threads.  An engine is not thread-safe: one thread
+    drives it at a time.
 
 ``StatelessLP``
     one ``scipy.optimize.linprog`` call per solve; nothing is kept between
-    solves.  It is the only engine when scipy's HiGHS binding does not
-    import, and the reference the tests hold the persistent engine to.
+    solves and ``start`` is ignored.  It is the only engine when scipy's
+    HiGHS binding does not import, and the reference the tests hold the
+    persistent engine to.
 
 Neither engine's scipy code loads with this module: the binding probe
 (``_highs``, run once per process) and ``linprog`` are imported at first
@@ -37,10 +42,13 @@ asks for the stateless one.  Both engines resolve the method with
 count a solve that needed it the same way.
 
 Measured on the benchmark's LP cells (``docs/performance.md``, "What each
-mechanism earns"): the persistent model with min/max pair reuse is ~1.5x
-faster than stateless ``linprog`` at the same method.  No solve starts
-from the basis of another population's model: on those cells such warm
-starts cut simplex iterations but not time.
+mechanism earns"): the persistent model is ~1.5x faster than stateless
+``linprog`` at the same method, and starting each min from one feasible
+vertex of the model and each max from its min's optimum (the starts
+``BatchLPSolver`` passes) halves the simplex solve time again.  No solve
+starts from the basis of another population's model: that is a dual start
+from an infeasible basis, and on those cells it cut simplex iterations but
+not time.
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ _IPM_THRESHOLD = 1_000
 
 #: HiGHS ``simplex_strategy`` values, set on every attempt: serial dual
 #: simplex (HiGHS 1.12's default, so the first and every later cold solve
-#: of an engine run alike) vs primal (the max of a min/max pair).
+#: of an engine run alike) vs primal (a solve from a ``start`` basis).
 _SIMPLEX_STRATEGY_DUAL = 1
 _SIMPLEX_STRATEGY_PRIMAL = 4
 
@@ -166,7 +174,10 @@ class LPRunInfo:
     method_used: str     # "highs" | "highs-ipm" (ladder step that succeeded)
     n_iterations: int    # simplex + ipm + crossover iterations
     n_fallbacks: int     # retry-ladder steps taken
-    reused_basis: bool   # started from the basis the previous solve left
+    warm: bool           # answered by primal simplex from the ``start`` basis
+    #: the optimal basis, a ``start`` for later solves of the same system
+    #: (``None`` unless the engine takes starts)
+    basis: object = None
 
 
 class _LPEngine:
@@ -178,6 +189,8 @@ class _LPEngine:
     """
 
     backend = ""
+    #: whether ``solve`` honors ``start`` and reports ``LPRunInfo.basis``
+    takes_start = False
 
     def __init__(self, system, method: str = "auto") -> None:
         if method not in _METHODS:
@@ -193,24 +206,28 @@ class _LPEngine:
         )
 
     def solve(
-        self, c: np.ndarray, sense: str = "min", reuse_basis: bool = False
+        self, c: np.ndarray, sense: str = "min", start: object = None
     ) -> LPRunInfo:
         """Optimize ``c @ x`` over the polytope in the given sense.
 
-        ``reuse_basis`` asks to start from the basis the previous solve of
-        this engine left — the min/max-pair case, where only the sense
-        flipped (see :class:`PersistentLP`).  Raises :class:`SolverError`
-        after every step of the retry ladder fails.
+        ``start`` is a basis of this system (``LPRunInfo.basis`` of an
+        earlier solve) for the first attempt to run primal simplex from;
+        ``None``, or an engine that does not take starts, solves cold.
+        Every later step of the retry ladder is cold.  Raises
+        :class:`SolverError` after every step fails.
         """
         if sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-        reused = self._load(c, sense, reuse_basis)
+        self._load(c, sense)
+        if not self.takes_start:
+            start = None
         tele = obs.get_telemetry()
         for step, (method, presolve) in enumerate(_ladder(self.method)):
             if step:
                 tele.counter("lp.retry_step")
-            if self._attempt(method, presolve, reused and not step):
-                return self._info(sense, method, step, reused)
+                start = None
+            if self._attempt(method, presolve, start):
+                return self._info(sense, method, step, start is not None)
         raise SolverError(
             f"LP {sense} failed after {step} retries: {self._status()}"
         )
@@ -225,7 +242,8 @@ class PersistentLP(_LPEngine):
         Assembled :class:`~repro.core.constraints.ConstraintSystem`.
     method:
         ``"auto"`` (:func:`choose_lp_method`) or an explicit ``"highs"`` /
-        ``"highs-ipm"`` that every solve honors.
+        ``"highs-ipm"`` that every solve honors.  Simplex takes starts;
+        interior point does not.
     """
 
     backend = "highs"
@@ -234,8 +252,8 @@ class PersistentLP(_LPEngine):
         if not highs_available():  # pragma: no cover - guarded by callers
             raise SolverError("PersistentLP requires a HiGHS binding")
         super().__init__(system, method)
+        self.takes_start = self.method == "highs"
         self._col_indices = np.arange(self.n_variables, dtype=np.int32)
-        self._have_basis = False
         self._hc, highs_cls = _highs()
         self._h = highs_cls()
         self._h.setOptionValue("output_flag", False)
@@ -274,16 +292,7 @@ class PersistentLP(_LPEngine):
         lp.a_matrix_.value_ = A.data
         return lp
 
-    def _load(self, c: np.ndarray, sense: str, reuse_basis: bool) -> bool:
-        """Swap in the objective; whether the kept basis will be reused.
-
-        Reuse switches to *primal* simplex: the kept basis stays primal
-        feasible because only the objective flipped (measured ~1.8x fewer
-        iterations than a cold max).  Otherwise the solver state is
-        cleared — a basis carried across *different* objectives is poison
-        (22.9k iterations against 8.4k cold).  Interior point ignores start
-        bases, so it always runs cold.
-        """
+    def _load(self, c: np.ndarray, sense: str) -> None:
         hc = self._hc
         self._h.changeColsCost(
             self.n_variables, self._col_indices, np.asarray(c, dtype=float)
@@ -291,20 +300,23 @@ class PersistentLP(_LPEngine):
         self._h.changeObjectiveSense(
             hc.ObjSense.kMinimize if sense == "min" else hc.ObjSense.kMaximize
         )
-        return reuse_basis and self._have_basis and self.method == "highs"
 
-    def _attempt(self, method: str, presolve: bool, reuse: bool) -> bool:
-        # Every option an attempt depends on is set here, so a cold attempt
-        # runs the same whatever this engine solved before.
-        if not reuse:
-            self._h.clearSolver()  # cold: drop any stale basis/solution
+    def _attempt(self, method: str, presolve: bool, start) -> bool:
+        # Every attempt clears the solver and sets every option it depends
+        # on, so it runs the same whatever this engine solved before.  A
+        # start basis is primal feasible for any objective (the constraints
+        # never change), so primal simplex runs from it without a phase 1;
+        # HiGHS skips presolve when it holds a basis.
+        self._h.clearSolver()
+        if start is not None:
+            self._h.setBasis(start)
         self._h.setOptionValue(
             "solver", "ipm" if method == "highs-ipm" else "simplex"
         )
         self._h.setOptionValue("presolve", "on" if presolve else "off")
         self._h.setOptionValue(
             "simplex_strategy",
-            _SIMPLEX_STRATEGY_PRIMAL if reuse else _SIMPLEX_STRATEGY_DUAL,
+            _SIMPLEX_STRATEGY_DUAL if start is None else _SIMPLEX_STRATEGY_PRIMAL,
         )
         return self._run_ok()
 
@@ -313,7 +325,7 @@ class PersistentLP(_LPEngine):
         return self._h.getModelStatus() == self._hc.HighsModelStatus.kOptimal
 
     def _info(
-        self, sense: str, method_used: str, n_fallbacks: int, reused: bool
+        self, sense: str, method_used: str, n_fallbacks: int, warm: bool
     ) -> LPRunInfo:
         info = self._h.getInfo()
         iterations = (
@@ -321,7 +333,7 @@ class PersistentLP(_LPEngine):
             + int(info.ipm_iteration_count)
             + int(info.crossover_iteration_count)
         )
-        self._have_basis = bool(self._h.getBasis().valid)
+        basis = self._h.getBasis() if self.takes_start else None  # a copy
         return LPRunInfo(
             value=float(self._h.getObjectiveValue()),
             x=np.asarray(self._h.getSolution().col_value, dtype=float),
@@ -329,7 +341,8 @@ class PersistentLP(_LPEngine):
             method_used=method_used,
             n_iterations=iterations,
             n_fallbacks=n_fallbacks,
-            reused_basis=reused,
+            warm=warm,
+            basis=basis if basis is not None and basis.valid else None,
         )
 
     def _status(self) -> str:
@@ -339,8 +352,8 @@ class PersistentLP(_LPEngine):
 class StatelessLP(_LPEngine):
     """One ``scipy.optimize.linprog`` call per solve; no state is kept.
 
-    ``reuse_basis`` is accepted and ignored: ``linprog`` builds and
-    discards its HiGHS model on every call.
+    It takes no starts: ``linprog`` builds and discards its HiGHS model on
+    every call.
     """
 
     backend = "scipy"
@@ -349,14 +362,13 @@ class StatelessLP(_LPEngine):
         super().__init__(system, method)
         self._bounds = np.column_stack([system.lb, system.ub])
 
-    def _load(self, c: np.ndarray, sense: str, reuse_basis: bool) -> bool:
+    def _load(self, c: np.ndarray, sense: str) -> None:
         # linprog minimizes: a max negates into a scratch copy, so the
         # caller's (possibly cached) coefficient vector is never mutated.
         self._c = c if sense == "min" else np.negative(c)
         self._sign = 1.0 if sense == "min" else -1.0
-        return False
 
-    def _attempt(self, method: str, presolve: bool, reuse: bool) -> bool:
+    def _attempt(self, method: str, presolve: bool, start) -> bool:
         from scipy.optimize import linprog
 
         s = self.system
@@ -373,7 +385,7 @@ class StatelessLP(_LPEngine):
         return bool(self._res.success)
 
     def _info(
-        self, sense: str, method_used: str, n_fallbacks: int, reused: bool
+        self, sense: str, method_used: str, n_fallbacks: int, warm: bool
     ) -> LPRunInfo:
         res = self._res
         return LPRunInfo(
@@ -383,7 +395,7 @@ class StatelessLP(_LPEngine):
             method_used=method_used,
             n_iterations=int(res.nit),
             n_fallbacks=n_fallbacks,
-            reused_basis=False,
+            warm=False,
         )
 
     def _status(self) -> str:

@@ -8,8 +8,9 @@ the assembled sparse constraint matrices, the ``(n, 2)`` bound array, and
 the HiGHS method choice.  Dense metric coefficient vectors are built once
 per canonical metric spec and reused across min/max senses (and across
 repeated :meth:`BatchLPSolver.bound_specs` calls), so a full
-standard-metric sweep performs exactly one constraint assembly and
-``2 * n_metrics`` solver calls with no redundant re-densification.
+standard-metric sweep performs exactly one constraint assembly, one
+anchor solve and ``2 * n_metrics`` bound solves (system throughput shares
+the reference station's pair) with no redundant re-densification.
 
 Constraint assembly routes through the vectorized block kernel and its
 per-topology :class:`~repro.core.assembly.AssemblyCache` (the process-wide
@@ -20,31 +21,37 @@ re-materializes the N-dependent slices at each point.
 Solves run on the engine :func:`repro.core.lpbackend.make_lp_engine`
 picks: the persistent HiGHS model whenever scipy's binding imports
 (``backend="auto"``; ``"scipy"`` asks for stateless ``linprog``).  The
-model is passed to the solver once, objectives swap only the cost vector,
-and the max of each min/max pair restarts primal simplex from the min's
-optimal basis.  Telemetry counters ``lp.model_rebuild`` and
-``lp.basis_reuse`` make each reuse visible.
+model is passed to the solver once and objectives swap only the cost
+vector.  On the simplex path every solve starts from an explicit basis:
+each solver has one *anchor*, the optimal basis of the zero objective (a
+vertex of the polytope, primal feasible for every objective), solved once
+on the solver's first simplex solve; every min starts from the anchor and
+every max from its own min's optimum.  Telemetry counters
+``lp.warm_starts`` (solves from the anchor) and ``lp.basis_reuse`` (maxes
+from their min) make each start visible; ``lp.model_rebuild`` counts the
+HiGHS models built.  Interior point and the stateless engine solve cold.
 
 The pairs of one model are independent, so :meth:`BatchLPSolver.bound_specs`
 solves them on ``min(n_pairs, usable cores)`` threads (the process's CPU
-affinity, split between the worker processes of a parallel sweep; no
-option).  A pair is the unit of work: each thread drives one engine of its
-own over the shared constraint system, the calling thread the solver's own
-engine, and solves whole pairs, the min cold and the max from the min's
-basis; :meth:`BatchLPSolver.bound` is the one-pair case.  HiGHS releases
-the GIL in ``run()``, so on two cores the benchmark's LP cells solve in
-~0.56x the one-thread time.  A cold solve does not depend on the engine's
-history, so every bound, iteration count and reuse count equals the
-one-thread run bit for bit.  ``solve_time_s`` is the wall time of the
-solves; ``lp.solve`` spans from the pair threads nest under the caller's
-span (``obs.use(..., parent=)``).
+affinity and cgroup CPU quota, split between the worker processes of a
+parallel sweep; no option).  A pair is the unit of work: each thread
+drives one engine of its own over the shared constraint system, the
+calling thread the solver's own engine, and solves whole pairs;
+:meth:`BatchLPSolver.bound` is the one-pair case.  HiGHS releases the GIL
+in ``run()``, so on two cores the benchmark's LP cells solve in ~0.56x the
+one-thread time.  Every start is explicit and no solve depends on its
+engine's history, so a bound depends only on the model, the metric and
+the sense: not on the core count, the thread schedule, the request set or
+what the solver answered before.  ``solve_time_s`` is the wall time of the
+solves, the anchor's included; ``lp.solve`` spans from the pair threads
+nest under the caller's span (``obs.use(..., parent=)``).
 
 Metric requests use compact string specs::
 
     "utilization[2]"       bound U of station 2
     "throughput"           bound X of every station
     "queue_length[0]"      bound E[n_0]
-    "system_throughput"    bound the reference-station throughput
+    "system_throughput"    the reference station's throughput interval
     "response_time"        derived from system throughput via Little's law
     "standard"             everything above, every station
 """
@@ -54,6 +61,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -90,24 +98,58 @@ def _share_cores(workers: int) -> None:
     _core_sharers = max(1, workers)
 
 
+#: where this process's cgroup CPU controller is mounted
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
+
+
+def _cgroup_cpu_quota(root: Path) -> "int | None":
+    """``ceil(quota / period)`` of the cgroup CPU quota under ``root``, or
+    ``None`` when no quota is set or readable.
+
+    cgroup v2 keeps both in ``cpu.max`` (``"<quota> <period>"``, the quota
+    ``max`` when unlimited); cgroup v1 in ``cpu/cpu.cfs_quota_us`` (``-1``
+    when unlimited) and ``cpu/cpu.cfs_period_us``.
+    """
+    try:
+        quota, period = (root / "cpu.max").read_text().split()
+    except (OSError, ValueError):
+        try:
+            quota = (root / "cpu" / "cpu.cfs_quota_us").read_text()
+            period = (root / "cpu" / "cpu.cfs_period_us").read_text()
+        except OSError:
+            return None
+    try:
+        quota_us, period_us = int(quota), int(period)
+    except ValueError:  # "max": no quota
+        return None
+    if quota_us <= 0 or period_us <= 0:  # -1: no quota
+        return None
+    return -(-quota_us // period_us)
+
+
 def _usable_cores() -> int:
     """Cores this process's pair threads may use: its CPU affinity (else
-    the CPU count), split evenly between the processes of a parallel sweep."""
+    the CPU count), capped by its cgroup CPU quota and split evenly between
+    the processes of a parallel sweep."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
+    quota = _cgroup_cpu_quota(_CGROUP_ROOT)
+    if quota is not None:
+        cores = min(cores, quota)
     return max(1, cores // _core_sharers)
 
 
-def _solve(engine, c: np.ndarray, sense: str, name: str, reuse: bool) -> LPRunInfo:
-    """One engine solve inside an ``lp.solve`` span that counts its work."""
+def _solve(engine, c: np.ndarray, sense: str, name: str, start, counter: str) -> LPRunInfo:
+    """One engine solve from ``start`` inside an ``lp.solve`` span that
+    counts its work, and under ``counter`` a solve that ran from the start."""
     with obs.get_telemetry().span("lp.solve", metric=name, sense=sense) as span:
-        info = engine.solve(c, sense, reuse_basis=reuse)
+        info = engine.solve(c, sense, start=start)
         span.count("lp.solves")
         span.count("lp.iterations", info.n_iterations)
-        if info.reused_basis:
-            span.count("lp.basis_reuse")
+        if info.warm:
+            span.count(counter)
         if info.n_fallbacks:
             span.count("lp.fallbacks")
             span.set("method_used", info.method_used)
@@ -120,14 +162,14 @@ def _interval(lo: float, hi: float) -> Interval:
     return Interval(lower=lo, upper=hi)
 
 
-def _solve_pair(engine, metric: LinearMetric, c: np.ndarray):
+def _solve_pair(engine, metric: LinearMetric, c: np.ndarray, anchor):
     """One metric's ``(Interval, min info, max info)`` on one engine.
 
-    The min runs cold and the max restarts from the basis the min left:
-    the kept basis is primal feasible only for the same objective.
+    The min starts from the solver's ``anchor`` and the max from the
+    min's optimum (both ``None`` off the simplex path: cold).
     """
-    lo = _solve(engine, c, "min", metric.name, reuse=False)
-    hi = _solve(engine, c, "max", metric.name, reuse=True)
+    lo = _solve(engine, c, "min", metric.name, anchor, "lp.warm_starts")
+    hi = _solve(engine, c, "max", metric.name, lo.basis, "lp.basis_reuse")
     return _interval(lo.value + metric.constant, hi.value + metric.constant), lo, hi
 
 
@@ -208,24 +250,27 @@ class BatchLPSolver:
         self.backend = self._engine.backend
         #: resolved method of every solve: "highs" or "highs-ipm"
         self.method = self._engine.method
-        self.n_solves = 0
+        self.n_solves = 0  # bound solves; the anchor is not one
         self.n_fallbacks = 0  # solves that needed the retry ladder
-        #: always 0: no solve starts from another model's basis; the lp
-        #: result's ``extra["lp_warm_starts"]`` (and cached payloads) carry it
-        self.n_warm_starts = 0
-        self.n_basis_reuse = 0  # min/max pair solves off the kept basis
-        self.n_iterations = 0  # simplex + ipm + crossover, all solves
+        self.n_warm_starts = 0  # solves from the anchor
+        self.n_basis_reuse = 0  # max solves from their min's optimum
+        self.n_iterations = 0  # simplex + ipm + crossover, anchor included
         #: wall time of the solves (``bound_specs`` pairs overlap on threads)
         self.solve_time_s = 0.0
         #: canonical metric spec -> (metric, dense coefficient vector)
         self._dense_cache: dict[str, tuple[LinearMetric, np.ndarray]] = {}
+        #: the anchor basis, solved on the first simplex solve (``_anchor``)
+        self._anchor_basis = None
+        self._anchor_due = self._engine.takes_start
 
     # ------------------------------------------------------------------ #
     def optimize(self, metric: LinearMetric, sense: str) -> float:
-        """Optimal value of one metric in one direction, solved cold."""
+        """Optimal value of one metric in one direction, from the anchor."""
         c = metric.dense(self.system.n_variables)
         t0 = obs.clock()
-        info = _solve(self._engine, c, sense, metric.name, reuse=False)
+        info = _solve(
+            self._engine, c, sense, metric.name, self._anchor(), "lp.warm_starts"
+        )
         self.solve_time_s += obs.clock() - t0
         self._tally(info)
         return info.value + metric.constant
@@ -235,12 +280,36 @@ class BatchLPSolver:
         (interval,) = self._run_pairs([(metric, metric.dense(self.system.n_variables))])
         return interval
 
-    def _tally(self, *infos: LPRunInfo) -> None:
-        for info in infos:
-            self.n_solves += 1
+    def _anchor(self):
+        """The start of every min: the optimal basis of the zero objective.
+
+        Any vertex of the polytope is primal feasible for every objective,
+        and a fixed one makes each bound independent of which engine,
+        thread or request solved it.  Solved cold on engine 0, once per
+        solver, at its first simplex solve (so a traced run books it as
+        solve time, not assembly); ``None`` off the simplex path.  Pair
+        threads only read it.
+        """
+        if self._anchor_due:
+            self._anchor_due = False
+            with obs.get_telemetry().span("lp.anchor") as span:
+                info = self._engine.solve(np.zeros(self.system.n_variables), "min")
+                span.count("lp.iterations", info.n_iterations)
             self.n_iterations += info.n_iterations
-            self.n_basis_reuse += info.reused_basis
             self.n_fallbacks += info.n_fallbacks > 0
+            self._anchor_basis = info.basis
+        return self._anchor_basis
+
+    def _tally(self, info: LPRunInfo, from_min: bool = False) -> None:
+        """Count one bound solve, and its start: the anchor, or (a pair's
+        max, ``from_min``) its min's optimum."""
+        self.n_solves += 1
+        self.n_iterations += info.n_iterations
+        self.n_fallbacks += info.n_fallbacks > 0
+        if from_min:
+            self.n_basis_reuse += info.warm
+        else:
+            self.n_warm_starts += info.warm
 
     # ------------------------------------------------------------------ #
     def _metric_for(self, spec: str, reference: int) -> LinearMetric:
@@ -271,12 +340,21 @@ class BatchLPSolver:
         """Bound every requested metric; returns canonical-spec -> Interval.
 
         The min/max pairs run concurrently (:meth:`_run_pairs`); bounds
-        and counters equal a one-thread run bit for bit.
+        and counters equal a one-thread run bit for bit.  System
+        throughput is the reference station's throughput under another
+        name (the same LP), so when both are asked it is solved once.
         """
         expanded = expand_metric_specs(specs, self.network.n_stations)
-        solved = [spec for spec in expanded if spec != "response_time"]
+        x_ref = f"throughput[{reference}]"
+        solved = [
+            spec for spec in expanded
+            if spec != "response_time"
+            and not (spec == "system_throughput" and x_ref in expanded)
+        ]
         pairs = [self._dense_for(spec, reference) for spec in solved]
         out = dict(zip(solved, self._run_pairs(pairs)))
+        if "system_throughput" in expanded and "system_throughput" not in out:
+            out["system_throughput"] = out[x_ref]
         if "response_time" in expanded:
             x = out["system_throughput"]
             N = self.network.population
@@ -286,17 +364,18 @@ class BatchLPSolver:
     def _run_pairs(self, pairs: list) -> list[Interval]:
         """``_solve_pair`` over every ``(metric, c)``; intervals in input order.
 
-        The calling thread drains the queue of pairs on engine 0 while
-        ``min(n_pairs, usable cores) - 1`` threads drain it on engines of
-        their own (built once, kept for later calls); one pair or one core
-        runs inline.  A cold solve does not depend on its engine's history,
-        so which engine solves which pair does not move a bit.  Worker
-        spans nest under the caller's current span.  The first failing
-        pair in input order raises once every thread has been joined.
-        Adds the wall time to ``solve_time_s`` and every solve to the
-        counters.
+        The calling thread solves the anchor if it is due, then drains the
+        queue of pairs on engine 0 while ``min(n_pairs, usable cores) - 1``
+        threads drain it on engines of their own (built once, kept for
+        later calls); one pair or one core runs inline.  No solve depends
+        on its engine's history, so which engine solves which pair does
+        not move a bit.  Worker spans nest under the caller's current
+        span.  The first failing pair in input order raises once every
+        thread has been joined.  Adds the wall time to ``solve_time_s``
+        and every solve to the counters.
         """
         t0 = obs.clock()
+        anchor = self._anchor()
         n_threads = min(len(pairs), _usable_cores())
         while len(self._engines) < n_threads:
             self._engines.append(type(self._engine)(self.system, self.method))
@@ -312,7 +391,7 @@ class BatchLPSolver:
                 except queue.Empty:
                     return
                 try:
-                    results[i] = _solve_pair(engine, *pairs[i])
+                    results[i] = _solve_pair(engine, *pairs[i], anchor)
                 except Exception as exc:  # re-raised below, in input order
                     results[i] = exc
 
@@ -339,7 +418,8 @@ class BatchLPSolver:
             if isinstance(result, Exception):
                 raise result
         for _, lo, hi in results:
-            self._tally(lo, hi)
+            self._tally(lo)
+            self._tally(hi, from_min=True)
         return [interval for interval, _, _ in results]
 
     def standard_bounds(self, reference: int = 0) -> BoundsResult:

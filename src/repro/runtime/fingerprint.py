@@ -37,7 +37,8 @@ SCHEMA_VERSION = 1
 #: Per-method algorithm version, mixed into that method's solve keys only.
 #: A method absent here keys exactly as before it was ever listed.
 #: ``sim`` 2: per-station child streams, block-drawn variates.
-ALGORITHM_VERSION: dict[str, int] = {"sim": 2}
+#: ``lp`` 2: simplex bounds start from the solver's anchor basis.
+ALGORITHM_VERSION: dict[str, int] = {"sim": 2, "lp": 2}
 
 
 class FingerprintError(TypeError):

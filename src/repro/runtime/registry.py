@@ -257,8 +257,8 @@ def _solve_lp(
             "lp_method": solver.method,
             "lp_iterations": solver.n_iterations,
             "lp_fallbacks": solver.n_fallbacks,
-            "lp_warm_starts": solver.n_warm_starts,  # always 0; payload shape
-            "lp_basis_reuse": solver.n_basis_reuse,
+            "lp_warm_starts": solver.n_warm_starts,  # solves from the anchor
+            "lp_basis_reuse": solver.n_basis_reuse,  # maxes from their min
             # population sweeps reuse one cached assembly plan per topology
             "assembly_plan_cached": solver.plan_from_cache,
             "certified": True,

@@ -1,4 +1,4 @@
-"""LP engines: the engine choice, pair reuse, and the retry ladder of both."""
+"""LP engines: the engine choice, start bases, and the retry ladder of both."""
 
 import numpy as np
 import pytest
@@ -106,20 +106,37 @@ class TestPersistentSolves:
         plp = PersistentLP(sys_c)
         c = throughput_metric(net, vi, 0).dense(sys_c.n_variables)
         lo = plp.solve(c.copy(), "min")
-        hi = plp.solve(c.copy(), "max", reuse_basis=True)
-        assert not lo.reused_basis and hi.reused_basis
+        hi = plp.solve(c.copy(), "max", start=lo.basis)
+        assert not lo.warm and hi.warm
+        assert lo.basis is not None and hi.basis is not None
         cold_hi = PersistentLP(sys_c).solve(c.copy(), "max")
         assert hi.value == pytest.approx(cold_hi.value, abs=1e-9)
         assert lo.value <= hi.value + 1e-9
+
+    def test_start_does_not_depend_on_the_engine(self, system):
+        """A basis from one engine starts another alike: same bits, same
+        iterations, whatever either engine solved before."""
+        net, vi, sys_c = system
+        c = queue_length_metric(net, vi, 1).dense(sys_c.n_variables)
+        anchor = PersistentLP(sys_c).solve(np.zeros(sys_c.n_variables), "min").basis
+        fresh = PersistentLP(sys_c).solve(c.copy(), "max", start=anchor)
+        used = PersistentLP(sys_c)
+        used.solve(throughput_metric(net, vi, 0).dense(sys_c.n_variables), "min")
+        again = used.solve(c.copy(), "max", start=anchor)
+        assert fresh.warm and again.warm
+        assert (fresh.value.hex(), fresh.n_iterations) == (
+            again.value.hex(), again.n_iterations
+        )
 
     def test_explicit_ipm_never_warm(self, system):
         net, vi, sys_c = system
         plp = PersistentLP(sys_c, method="highs-ipm")
         c = throughput_metric(net, vi, 0).dense(sys_c.n_variables)
-        plp.solve(c.copy(), "min")
-        info = plp.solve(c.copy(), "max", reuse_basis=True)
+        start = PersistentLP(sys_c, method="highs").solve(c.copy(), "min").basis
+        info = plp.solve(c.copy(), "max", start=start)
         # IPM ignores start bases; the request must not be misreported
-        assert not info.reused_basis
+        assert not plp.takes_start
+        assert not info.warm and info.basis is None
         assert info.method_used == "highs-ipm"
 
     def test_rejects_bad_inputs(self, system):
@@ -159,6 +176,24 @@ class TestPersistentSolves:
             sys_c, throughput_metric(net, vi, 0), "min", backend="scipy"
         )
         assert info.value == pytest.approx(ref.value, abs=1e-9)
+
+    def test_failed_warm_attempt_retries_cold(self, system, monkeypatch):
+        net, vi, sys_c = system
+        plp = PersistentLP(sys_c, method="highs")
+        c = throughput_metric(net, vi, 0).dense(sys_c.n_variables)
+        start = plp.solve(c, "min").basis
+        real_attempt = PersistentLP._attempt
+        starts = []
+
+        def attempt(self, method, presolve, start):
+            starts.append(start is not None)
+            ok = real_attempt(self, method, presolve, start)
+            return ok and len(starts) > 1  # the warm attempt "fails"
+
+        monkeypatch.setattr(PersistentLP, "_attempt", attempt)
+        info = plp.solve(c, "max", start=start)
+        assert starts == [True, False]
+        assert not info.warm and info.n_fallbacks == 1
 
     def test_exhausted_ladder_raises(self, system, monkeypatch):
         _, _, sys_c = system
@@ -226,7 +261,7 @@ class TestStatelessLadder:
         )
         assert info.n_fallbacks == 1
         assert info.method_used == "highs-ipm"  # the alternate algorithm
-        assert not info.reused_basis
+        assert not info.warm
 
     def test_exhausted_ladder_raises(self, system, monkeypatch):
         _, _, sys_c = system

@@ -182,7 +182,7 @@ class TestCountersAndSpans:
             SolverRegistry(cache=None).solve(bursty_tandem(), "lp")
         (root,) = tele.roots
         names = {c.name for c in root.children}
-        assert names == {"lp.assembly", "lp.solve"}
+        assert names == {"lp.assembly", "lp.anchor", "lp.solve"}
         snap = tele.snapshot()
         assert snap.counters["lp.solves"] >= 2
         assert snap.counters["lp.iterations"] > 0

@@ -14,6 +14,7 @@ from repro.maps import exponential, fit_map2
 from repro.network import ClosedNetwork, queue
 from repro.runtime import batch
 from repro.runtime.batch import BatchLPSolver, expand_metric_specs
+from repro.scenarios import get_scenario
 from repro.utils.errors import SolverError
 
 
@@ -69,9 +70,11 @@ class TestBatchBounds:
 
     def test_single_assembly_shared_across_solves(self, net):
         solver = BatchLPSolver(net)
-        solver.bound_specs("standard")
-        # 3 station metrics * 2 stations + system throughput = 7 pairs
-        assert solver.n_solves == 14
+        out = solver.bound_specs("standard")
+        # 3 station metrics * 2 stations = 6 pairs; system throughput is
+        # throughput[0] under another name, solved once
+        assert solver.n_solves == 12
+        assert out["system_throughput"] == out["throughput[0]"]
         assert solver.build_time_s > 0
         assert solver.solve_time_s > 0
 
@@ -117,10 +120,51 @@ class TestPersistentBackend:
         solver = BatchLPSolver(net, backend="highs")
         solver.bound_specs(("system_throughput", "utilization[0]"))
         assert solver.n_solves == 4
-        # each metric's max solve rides the basis its min solve left
+        # each min starts from the anchor, each max from its min's optimum
+        assert solver.n_warm_starts == 2
         assert solver.n_basis_reuse == 2
-        assert solver.n_warm_starts == 0  # constant: payload compatibility
         assert solver.n_iterations > 0
+
+    def test_ipm_and_stateless_solve_cold(self, net):
+        for opts in ({"backend": "highs", "method": "highs-ipm"}, {"backend": "scipy"}):
+            solver = BatchLPSolver(net, **opts)
+            solver.bound_specs(("throughput[0]",))
+            assert (solver.n_warm_starts, solver.n_basis_reuse) == (0, 0), opts
+
+
+#: (scenario, population) of the anchor-invariance checks: simplex models
+ANCHORED = (("fig5-case-study", 6), ("tpcw", 4))
+
+
+@pytest.mark.skipif(not highs_available(), reason="no HiGHS binding")
+@pytest.mark.parametrize("name, population", ANCHORED)
+def test_bound_depends_only_on_model_metric_and_sense(name, population, monkeypatch):
+    """Every start is explicit, so each bound is bit-equal solved alone, in
+    the standard set, in reverse order on a solver reused from an earlier
+    request, and on one and on four pair threads."""
+    network = get_scenario(name).network(population=population)
+
+    def hexed(bounds):
+        return {spec: (iv.lower.hex(), iv.upper.hex()) for spec, iv in bounds.items()}
+
+    runs = []
+    for cores in (1, 4):
+        monkeypatch.setattr(batch, "_usable_cores", lambda: cores)
+        solver = BatchLPSolver(network)
+        assert solver.method == "highs"
+        runs.append(hexed(solver.bound_specs("standard")))
+    standard = runs[0]
+    assert runs[1] == standard
+
+    specs = [spec for spec in standard if spec != "response_time"]
+    alone = {}
+    for spec in specs:
+        alone.update(hexed(BatchLPSolver(network).bound_specs((spec,))))
+    assert alone == {spec: standard[spec] for spec in specs}
+
+    reused = BatchLPSolver(network)
+    reused.bound_specs(("queue_length[0]", "utilization[1]"))
+    assert hexed(reused.bound_specs(list(reversed(specs)))) == alone
 
 
 @pytest.fixture
@@ -134,12 +178,12 @@ def workers_first(monkeypatch):
     failed: dict = {}
     real = batch._solve_pair
 
-    def solve_pair(engine, metric, c):
+    def solve_pair(engine, metric, c, anchor):
         if threading.current_thread() is caller:
             assert worker_done.wait(10)
-            return real(engine, metric, c)
+            return real(engine, metric, c, anchor)
         try:
-            return real(engine, metric, c)
+            return real(engine, metric, c, anchor)
         except SolverError as exc:
             failed[metric.name] = exc
             raise
@@ -157,16 +201,20 @@ class TestPairPool:
             solver = BatchLPSolver(net)
             solver.bound_specs("standard")
         (root,) = tele.roots
-        assert [c.name for c in root.children].count("lp.solve") == solver.n_solves == 14
+        names = [c.name for c in root.children]
+        assert names.count("lp.solve") == solver.n_solves == 12
+        assert names.count("lp.anchor") == int(solver.backend == "highs")
         counters = tele.snapshot().counters
         assert counters["lp.solves"] == solver.n_solves
-        assert counters["lp.iterations"] == solver.n_iterations
+        assert counters["lp.iterations"] == solver.n_iterations  # anchor's too
+        assert counters.get("lp.warm_starts", 0) == solver.n_warm_starts
         assert counters.get("lp.basis_reuse", 0) == solver.n_basis_reuse
 
-    def test_sweep_workers_split_the_usable_cores(self, monkeypatch):
+    def test_sweep_workers_split_the_usable_cores(self, monkeypatch, tmp_path):
         monkeypatch.setattr(
             batch.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
         )
+        monkeypatch.setattr(batch, "_CGROUP_ROOT", tmp_path)  # no quota
         monkeypatch.setattr(batch, "_core_sharers", 1)
         assert batch._usable_cores() == 8
         batch._share_cores(3)
@@ -214,3 +262,44 @@ class TestPairPool:
         first = min(workers_first, key=order.index)
         assert excinfo.value is workers_first[first]
         assert excinfo.value.trace_path is not None
+
+
+class TestCgroupQuota:
+    """``_usable_cores`` is capped by ``ceil(quota / period)``."""
+
+    @staticmethod
+    def _v1(root, quota: str, period: str = "100000\n") -> None:
+        (root / "cpu").mkdir()
+        (root / "cpu" / "cpu.cfs_quota_us").write_text(quota)
+        (root / "cpu" / "cpu.cfs_period_us").write_text(period)
+
+    @pytest.mark.parametrize(
+        "cpu_max, cores", [("150000 100000\n", 2), ("100000 100000\n", 1),
+                           ("800000 100000\n", 8), ("max 100000\n", None)],
+    )
+    def test_v2_cpu_max(self, tmp_path, cpu_max, cores):
+        (tmp_path / "cpu.max").write_text(cpu_max)
+        assert batch._cgroup_cpu_quota(tmp_path) == cores
+
+    @pytest.mark.parametrize(
+        "quota, cores", [("50000\n", 1), ("250000\n", 3), ("-1\n", None)]
+    )
+    def test_v1_cfs_quota(self, tmp_path, quota, cores):
+        self._v1(tmp_path, quota)
+        assert batch._cgroup_cpu_quota(tmp_path) == cores
+
+    def test_no_controller_files_no_cap(self, tmp_path):
+        assert batch._cgroup_cpu_quota(tmp_path) is None
+
+    def test_quota_caps_affinity_and_is_split(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            batch.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        )
+        monkeypatch.setattr(batch, "_CGROUP_ROOT", tmp_path)
+        monkeypatch.setattr(batch, "_core_sharers", 1)
+        (tmp_path / "cpu.max").write_text("300000 100000\n")
+        assert batch._usable_cores() == 3
+        batch._share_cores(2)
+        assert batch._usable_cores() == 1
+        (tmp_path / "cpu.max").write_text("max 100000\n")
+        assert batch._usable_cores() == 4  # affinity alone, split in two

@@ -99,6 +99,7 @@ class TestAlgorithmVersion:
     SOLVES = {
         "sim": {"rng": 1, "horizon_events": 2_000, "warmup_events": 200},
         "exact": {},
+        "lp": {"metrics": ("throughput[0]",)},
         "mva": {},
     }
 
@@ -109,7 +110,7 @@ class TestAlgorithmVersion:
             for method, opts in self.SOLVES.items()
         }
 
-    @pytest.mark.parametrize("bumped", ["sim", "exact"])
+    @pytest.mark.parametrize("bumped", ["sim", "exact", "lp"])
     def test_bump_misses_that_method_and_hits_the_rest(
         self, bumped, tmp_path, monkeypatch
     ):
@@ -122,10 +123,16 @@ class TestAlgorithmVersion:
     def test_unlisted_methods_keep_their_keys(self):
         """Solve keys recorded before the version table existed."""
         net = tandem()
-        assert "lp" not in fingerprint_mod.ALGORITHM_VERSION
-        assert fingerprint_solve(net, "lp", {"triples": False}) == (
-            "f110c0482bb8c39854f5d2382f335f803d868fb6e61fb9c0289a6ab3880c090d"
+        assert "mva" not in fingerprint_mod.ALGORITHM_VERSION
+        assert fingerprint_solve(net, "mva", {}) == (
+            "a5f16ff28972df8b42175722a3ef6c4aca9f50800012b467a10ba7644c4783df"
         )
         assert fingerprint_solve(net, "exact", {}) == (
             "61a8845f8ab33a6d5b12f0660044bb7ea4917b73b926bd6fdcd35787eb08957f"
+        )
+
+    def test_lp_keys_of_cold_simplex_retired(self):
+        """``lp`` 2 moves the key the version-1 (cold simplex) answers had."""
+        assert fingerprint_solve(tandem(), "lp", {"triples": False}) != (
+            "f110c0482bb8c39854f5d2382f335f803d868fb6e61fb9c0289a6ab3880c090d"
         )

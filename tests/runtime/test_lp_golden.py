@@ -1,12 +1,13 @@
 """LP bounds pinned bit for bit: ``float.hex`` goldens of the solve path.
 
-The goldens were recorded on scipy 1.17.1 (its vendored HiGHS), each
-model solved with no basis carried over from another model: the persistent
-engine with min/max pair reuse on ``backend="auto"``, the stateless engine
-on ``backend="scipy"``, and one fresh engine per ``optimize_metric`` call.
-A change to the engines, the retry ladder or the pair reuse that moves one
-bit of one bound fails here.  Other HiGHS builds differ in the last bits,
-so the goldens are compared only on the build they were recorded with.
+The goldens were recorded on scipy 1.17.1 (its vendored HiGHS): the
+persistent engine on ``backend="auto"`` (simplex from the solver's anchor
+basis and each max from its min's optimum; interior point cold), the
+stateless engine on ``backend="scipy"``, and one fresh engine per
+``optimize_metric`` call.  A change to the engines, the start bases, the
+retry ladder or the pair queue that moves one bit of one bound fails here.
+Other HiGHS builds differ in the last bits, so the goldens are compared
+only on the build they were recorded with.
 
 ``bound_specs`` solves the min/max pairs on one thread per usable core;
 the standard bounds are checked with the core count patched to 1 (every
@@ -38,17 +39,17 @@ pytestmark = pytest.mark.skipif(
 #: (scenario, population, method, backend) -> spec -> (lower, upper)
 BOUNDS = {
     ("fig5-case-study", 6, "auto", "auto"): {
-        "queue_length[0]": ("0x1.988891f40f619p+0", "0x1.cc20d08b0bb6bp+0"),
-        "queue_length[1]": ("0x1.9f896f5743c80p+0", "0x1.cdcd719498115p+0"),
-        "queue_length[2]": ("0x1.3a202852f610cp+1", "0x1.5927b9f822c84p+1"),
-        "response_time": ("0x1.4949523d351d0p+2", "0x1.51a4cdd6786fcp+2"),
-        "system_throughput": ("0x1.2325a7b6afa44p+0", "0x1.2a89558ab0ef4p+0"),
-        "throughput[0]": ("0x1.2325a7b6afa44p+0", "0x1.2a89558ab0ef4p+0"),
-        "throughput[1]": ("0x1.979b1dffc2b48p-1", "0x1.a1f377c22ae9cp-1"),
-        "throughput[2]": ("0x1.d1d5d9244c3e6p-4", "0x1.dda888dde7e57p-4"),
-        "utilization[0]": ("0x1.2325a7b6afa4dp-1", "0x1.2a89558ab0ef9p-1"),
-        "utilization[1]": ("0x1.2325a7b6afa68p-1", "0x1.2a89558ab0ee6p-1"),
-        "utilization[2]": ("0x1.5d6062db39300p-1", "0x1.663e66a66deb8p-1"),
+        "queue_length[0]": ("0x1.988891f40f65bp+0", "0x1.cc20d08b0bbe7p+0"),
+        "queue_length[1]": ("0x1.9f896f1215e56p+0", "0x1.cdcd7194980ccp+0"),
+        "queue_length[2]": ("0x1.3a202852f6102p+1", "0x1.5927b9f822cacp+1"),
+        "response_time": ("0x1.4949523d351e5p+2", "0x1.51a4cdd6786c9p+2"),
+        "system_throughput": ("0x1.2325a7b6afa70p+0", "0x1.2a89558ab0ee1p+0"),
+        "throughput[0]": ("0x1.2325a7b6afa70p+0", "0x1.2a89558ab0ee1p+0"),
+        "throughput[1]": ("0x1.979b1dffc2b6bp-1", "0x1.a1f377c22ae6ap-1"),
+        "throughput[2]": ("0x1.d1d5d9244c3a7p-4", "0x1.dda888dde7e82p-4"),
+        "utilization[0]": ("0x1.2325a7b6afa72p-1", "0x1.2a89558ab0ee1p-1"),
+        "utilization[1]": ("0x1.2325a7b6afa72p-1", "0x1.2a89558ab0ee1p-1"),
+        "utilization[2]": ("0x1.5d6062db392a2p-1", "0x1.663e66a66deddp-1"),
     },
     ("tpcw", 5, "highs-ipm", "auto"): {
         "queue_length[0]": ("0x1.3c5710d39835fp+2", "0x1.3cca93b689a4fp+2"),
@@ -64,14 +65,14 @@ BOUNDS = {
         "utilization[2]": ("0x1.2139a8fbf8e00p-6", "0x1.21a345392d620p-6"),
     },
     ("bursty-tandem", 3, "auto", "auto"): {
-        "queue_length[0]": ("0x1.841d380dbeae3p+0", "0x1.841d380dbeae3p+0"),
-        "queue_length[1]": ("0x1.7be2c7f241516p+0", "0x1.7be2c7f241516p+0"),
-        "response_time": ("0x1.1eaf7899561d7p+2", "0x1.1eaf7899561d7p+2"),
-        "system_throughput": ("0x1.56e602e417311p-1", "0x1.56e602e417311p-1"),
-        "throughput[0]": ("0x1.56e602e417311p-1", "0x1.56e602e417311p-1"),
-        "throughput[1]": ("0x1.56e602e41730cp-1", "0x1.56e602e41730cp-1"),
-        "utilization[0]": ("0x1.56e602e41731ap-1", "0x1.56e602e41731ap-1"),
-        "utilization[1]": ("0x1.45c0e9257c6e3p-1", "0x1.45c0e9257c6e6p-1"),
+        "queue_length[0]": ("0x1.841d380dbeae3p+0", "0x1.841d380dbeae8p+0"),
+        "queue_length[1]": ("0x1.7be2c7f24151cp+0", "0x1.7be2c7f241526p+0"),
+        "response_time": ("0x1.1eaf7899561d1p+2", "0x1.1eaf7899561d7p+2"),
+        "system_throughput": ("0x1.56e602e417311p-1", "0x1.56e602e417318p-1"),
+        "throughput[0]": ("0x1.56e602e417311p-1", "0x1.56e602e417318p-1"),
+        "throughput[1]": ("0x1.56e602e417310p-1", "0x1.56e602e417318p-1"),
+        "utilization[0]": ("0x1.56e602e41731ap-1", "0x1.56e602e41731dp-1"),
+        "utilization[1]": ("0x1.45c0e9257c6eap-1", "0x1.45c0e9257c6efp-1"),
     },
     ("bursty-tandem", 3, "auto", "scipy"): {
         "queue_length[0]": ("0x1.841d380dbead0p+0", "0x1.841d380dbeadep+0"),
@@ -86,12 +87,13 @@ BOUNDS = {
 }
 
 #: (scenario, population, method, backend) -> the solver's counters after
-#: the standard bounds: (n_solves, n_iterations, n_basis_reuse, n_fallbacks)
+#: the standard bounds: (n_solves, n_iterations, n_warm_starts,
+#: n_basis_reuse, n_fallbacks); the anchor's iterations are counted
 COUNTS = {
-    ("fig5-case-study", 6, "auto", "auto"): (20, 5430, 10, 0),
-    ("tpcw", 5, "highs-ipm", "auto"): (20, 563, 0, 0),
-    ("bursty-tandem", 3, "auto", "auto"): (14, 51, 7, 0),
-    ("bursty-tandem", 3, "auto", "scipy"): (14, 0, 0, 0),
+    ("fig5-case-study", 6, "auto", "auto"): (18, 2007, 9, 9, 0),
+    ("tpcw", 5, "highs-ipm", "auto"): (18, 511, 0, 0, 0),
+    ("bursty-tandem", 3, "auto", "auto"): (12, 82, 6, 6, 0),
+    ("bursty-tandem", 3, "auto", "scipy"): (12, 0, 0, 0, 0),
 }
 
 #: backend -> (min, max) of throughput[0] on the two-station network
@@ -111,7 +113,8 @@ def _standard(case) -> "tuple[dict, tuple]":
         for spec, iv in solver.bound_specs("standard").items()
     }
     counts = (
-        solver.n_solves, solver.n_iterations, solver.n_basis_reuse, solver.n_fallbacks
+        solver.n_solves, solver.n_iterations, solver.n_warm_starts,
+        solver.n_basis_reuse, solver.n_fallbacks,
     )
     return got, counts
 

@@ -1,10 +1,11 @@
 """Population sweeps on the persistent LP engine agree with stateless scipy.
 
-Each sweep point builds its own persistent HiGHS model, and the max of
-every min/max pair starts from the basis its min left (see
-:mod:`repro.core.lpbackend`).  Basis reuse changes iteration counts, never
-optima, so a persistent sweep must agree with a stateless one to LP
-tolerance, and serial and parallel sweeps must give the same bounds.
+Each sweep point builds its own persistent HiGHS model; every min starts
+from the point's anchor basis and every max from its min's optimum (see
+:mod:`repro.runtime.batch`).  Start bases change iteration counts, not
+optima beyond LP tolerance, so a persistent sweep must agree with a
+stateless one to that tolerance, and serial and parallel sweeps must give
+the same bounds.
 """
 
 import numpy as np
@@ -23,6 +24,8 @@ pytestmark = pytest.mark.skipif(
 
 POPULATIONS = (3, 4, 5, 6)
 METRICS = ("throughput[0]", "queue_length[1]", "system_throughput")
+#: min/max pairs solved per point: system throughput copies throughput[0]
+PAIRS = len(METRICS) - 1
 
 
 @pytest.fixture()
@@ -55,13 +58,15 @@ def _assert_close(got_results, want_results, tol=1e-9):
 
 def test_serial_sweep_warm_starts_and_agrees(base_net):
     persistent = _sweep(base_net, workers=1, backend="highs")
-    # every max solve started from the basis its min solve left
-    assert all(r.extra["lp_basis_reuse"] == len(METRICS) for r in persistent)
-    assert all(r.extra["lp_warm_starts"] == 0 for r in persistent)
+    # every min started from the anchor, every max from its min's optimum
+    assert all(r.extra["lp_warm_starts"] == PAIRS for r in persistent)
+    assert all(r.extra["lp_basis_reuse"] == PAIRS for r in persistent)
+    assert all(r.extra["n_lp_solves"] == 2 * PAIRS for r in persistent)
     assert all(r.extra["backend"] == "highs" for r in persistent)
 
     stateless = _sweep(base_net, workers=1, backend="scipy")
-    assert all(r.extra["lp_basis_reuse"] == 0 for r in stateless)
+    assert all(r.extra["lp_warm_starts"] == r.extra["lp_basis_reuse"] == 0
+               for r in stateless)
     _assert_close(persistent, stateless)
 
 
@@ -75,7 +80,7 @@ def test_parallel_sweep_agrees_with_serial(base_net):
 def test_parallel_sweep_workers_split_the_cores(base_net):
     # each of the two worker processes gets half the usable cores for pair
     # threads, and every pair thread builds one HiGHS model per point
-    threads = min(len(METRICS), max(1, batch._usable_cores() // 2))
+    threads = min(PAIRS, max(1, batch._usable_cores() // 2))
     tele = obs.Telemetry()
     with obs.use(tele):
         _sweep(base_net, workers=2, backend="highs")

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint docs docs-serve bench bench-large bench-transient bench-fluid bench-fluid-large bench-kron bench-kron-large smoke-open smoke-transient smoke-obs smoke-kron smoke-fluid clean
+.PHONY: test lint docs docs-serve bench bench-large bench-transient bench-fluid bench-fluid-large bench-kron bench-kron-large smoke-transient smoke-obs smoke-kron smoke-fluid clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -66,12 +66,6 @@ bench-kron:
 # steady solves at 2.1M unknowns on one core).
 bench-kron-large:
 	REPRO_BENCH_PRESET=large $(PYTHON) -m pytest benchmarks/test_bench_kron.py -q
-
-# End-to-end smoke of an open-network scenario through the registry
-# cache: render the spec, lint it, solve via qbd twice (the second solve
-# must replay from the disk cache), and cross-check against the simulator.
-smoke-open:
-	$(PYTHON) benchmarks/smoke_open_network.py
 
 # End-to-end smoke of the transient subsystem: catalog scenario ->
 # transient solve -> disk-cache replay -> t->inf vs exact -> analytic

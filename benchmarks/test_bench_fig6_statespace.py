@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from repro.maps import exponential, mmpp2
-from repro.network import ClosedNetwork, NetworkStateSpace, build_generator, queue
+from repro.network import Network, NetworkStateSpace, build_generator, queue
 from repro.experiments.fig8 import FIG5_ROUTING
 
 
-def fig6_network(N: int) -> ClosedNetwork:
-    return ClosedNetwork(
+def fig6_network(N: int) -> Network:
+    return Network(
         [
             queue("q1", exponential(1.0)),
             queue("q2", exponential(2.0)),

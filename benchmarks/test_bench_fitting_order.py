@@ -17,12 +17,12 @@ from repro.maps import (
     h2_correlated,
     sample_intervals,
 )
-from repro.network import ClosedNetwork, queue, solve_exact
+from repro.network import Network, queue, solve_exact
 
 
 def _response(service) -> float:
     routing = np.array([[0.0, 1.0], [1.0, 0.0]])
-    net = ClosedNetwork(
+    net = Network(
         [queue("svc", service), queue("station", exponential(1.1))], routing, 12
     )
     return solve_exact(net).response_time(0)

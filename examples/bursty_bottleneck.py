@@ -15,7 +15,7 @@ import numpy as np
 from repro.core import response_time_bounds
 from repro.experiments.fig8 import Fig8Config, fig5_network
 from repro.maps import exponential, fit_map2
-from repro.network import ClosedNetwork, queue, solve_exact
+from repro.network import Network, queue, solve_exact
 from repro.utils.tables import format_table
 
 
@@ -46,7 +46,7 @@ def burstiness_sweep() -> None:
     routing = np.array([[0.2, 0.7, 0.1], [1.0, 0, 0], [1.0, 0, 0]])
     rows = []
     for gamma2 in (0.0, 0.3, 0.5, 0.7, 0.9):
-        net = ClosedNetwork(
+        net = Network(
             [
                 queue("q1", exponential(2.0)),
                 queue("q2", exponential(1.4)),

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core import solve_bounds
 from repro.maps import exponential, fit_map2
-from repro.network import ClosedNetwork, queue, solve_exact
+from repro.network import Network, queue, solve_exact
 from repro.sim import simulate
 from repro.utils.tables import format_table
 
@@ -33,7 +33,7 @@ def main() -> None:
         ]
     )
     bursty = fit_map2(mean=6.0, scv=16.0, gamma2=0.5)  # CV = 4
-    network = ClosedNetwork(
+    network = Network(
         stations=[
             queue("link", exponential(2.0)),
             queue("app-a", exponential(1.4)),

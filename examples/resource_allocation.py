@@ -13,12 +13,12 @@ Run:  python examples/resource_allocation.py
 import numpy as np
 
 from repro.maps import exponential, fit_map2
-from repro.network import ClosedNetwork, queue, solve_exact
+from repro.network import Network, queue, solve_exact
 from repro.planning import greedy_speed_allocation, rank_configurations
 from repro.utils.tables import format_table
 
 
-def build_system() -> ClosedNetwork:
+def build_system() -> Network:
     routing = np.array(
         [
             [0.1, 0.6, 0.3],
@@ -26,7 +26,7 @@ def build_system() -> ClosedNetwork:
             [1.0, 0.0, 0.0],
         ]
     )
-    return ClosedNetwork(
+    return Network(
         [
             queue("web", exponential(2.2)),
             queue("app", fit_map2(0.8, 12.0, 0.7)),   # bursty tier

@@ -13,8 +13,7 @@ Run:  python examples/tpcw_capacity_planning.py
 """
 
 from repro.baselines import mva
-from repro.core import bound_metric, build_constraints, system_throughput_metric
-from repro.core.variables import VariableIndex
+from repro.core import response_time_bounds
 from repro.sim import simulate
 from repro.utils.tables import format_table
 from repro.workloads import CLIENT, TpcwParameters, tpcw_model
@@ -24,13 +23,8 @@ SLA_SECONDS = 3.0
 
 def acf_model_response(network, think_time: float) -> tuple[float, float]:
     """Response-time bounds of the ACF-aware model: R = N / X - Z."""
-    vi = VariableIndex(network)
-    system = build_constraints(network, vi)
-    x = bound_metric(
-        network, system_throughput_metric(network, vi, CLIENT), system
-    )
-    N = network.population
-    return N / x.upper - think_time, N / x.lower - think_time
+    r = response_time_bounds(network, CLIENT)
+    return r.lower - think_time, r.upper - think_time
 
 
 def main() -> None:

@@ -33,7 +33,6 @@ from repro.core.objectives import (
     queue_length_moment_metric,
     system_throughput_metric,
 )
-from repro.core.lp import LPSolution, optimize_metric
 from repro.core.bounds import (
     Interval,
     BoundsResult,
@@ -61,8 +60,6 @@ __all__ = [
     "queue_length_metric",
     "queue_length_moment_metric",
     "system_throughput_metric",
-    "LPSolution",
-    "optimize_metric",
     "Interval",
     "BoundsResult",
     "bound_metric",

@@ -7,16 +7,19 @@ response time) in one shot, reusing the assembled constraint system.
 
 Response-time bounds follow the paper's Little's-law route:
 ``R_min = N / X_max`` and ``R_max = N / X_min``.
+
+All three solve on :class:`repro.runtime.batch.BatchLPSolver`, the one
+code path that solves an LP bound; each builds its constraint system from
+the network it is given, so no bound is ever taken over another model's
+polytope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.constraints import ConstraintSystem, build_constraints
-from repro.core.lp import optimize_metric
-from repro.core.objectives import LinearMetric, system_throughput_metric
-from repro.network.model import Network, require_closed
+from repro.core.objectives import LinearMetric
+from repro.network.model import Network
 
 __all__ = ["Interval", "BoundsResult", "bound_metric", "solve_bounds", "response_time_bounds"]
 
@@ -83,34 +86,25 @@ class BoundsResult:
         )
 
 
-def bound_metric(
-    network: Network,
-    metric: LinearMetric,
-    system: ConstraintSystem | None = None,
-) -> Interval:
-    """Exact [min, max] of a linear metric over the marginal polytope."""
-    require_closed(network, "lp")
-    system = system or build_constraints(network)
-    lo = optimize_metric(system, metric, "min").value
-    hi = optimize_metric(system, metric, "max").value
-    if lo > hi:  # round-off on a degenerate (point) interval
-        lo, hi = hi, lo
-    return Interval(lower=lo, upper=hi)
+def bound_metric(network: Network, metric: LinearMetric) -> Interval:
+    """Exact [min, max] of a linear metric over the marginal polytope.
+
+    ``metric`` must be built on the default variable index of ``network``
+    (``VariableIndex(network)``), the index the solver assembles.
+    """
+    from repro.runtime.batch import BatchLPSolver  # deferred: see solve_bounds
+
+    return BatchLPSolver(network).bound(metric)
 
 
 def response_time_bounds(
-    network: Network,
-    reference: int = 0,
-    system: ConstraintSystem | None = None,
-    triples: bool | None = None,
+    network: Network, reference: int = 0, *, triples: bool | None = None
 ) -> Interval:
     """Response-time bounds via Little's law on system-throughput bounds."""
-    require_closed(network, "lp")
-    system = system or build_constraints(network, triples=triples)
-    vi = system.vi
-    x_int = bound_metric(network, system_throughput_metric(network, vi, reference), system)
-    N = network.population
-    return Interval(lower=N / x_int.upper, upper=N / x_int.lower)
+    from repro.runtime.batch import BatchLPSolver  # deferred: see solve_bounds
+
+    solver = BatchLPSolver(network, triples=triples)
+    return solver.bound_specs("response_time", reference)["response_time"]
 
 
 def solve_bounds(

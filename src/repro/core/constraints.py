@@ -43,13 +43,7 @@ asserted polytope-identical by ``tests/core/test_assembly_equivalence``.
 
 from __future__ import annotations
 
-from repro.core.assembly import (
-    AssemblyCache,
-    AssemblyPlan,
-    ConstraintSystem,
-    _resolve_triples,
-    assemble,
-)
+from repro.core.assembly import AssemblyCache, ConstraintSystem, assemble
 from repro.core.assembly_reference import build_constraints_reference
 from repro.core.variables import VariableIndex
 from repro.network.model import Network, require_closed
@@ -66,7 +60,6 @@ def build_constraints(
     vi: VariableIndex | None = None,
     include_redundant: bool = False,
     triples: bool | None = None,
-    plan: AssemblyPlan | None = None,
     cache: AssemblyCache | None = None,
 ) -> ConstraintSystem:
     """Assemble all exact constraint families for ``network``.
@@ -84,11 +77,6 @@ def build_constraints(
         Enable the triple-variable tier (families H/SC/TC).  ``None`` means
         automatic (on for M >= 3); ``False`` gives the cheaper pair-only
         relaxation used by the constraint-ablation benchmark.
-    plan:
-        Optional pre-built :class:`~repro.core.assembly.AssemblyPlan` for
-        this network's topology (population sweeps reuse one plan across
-        every point).  When given, ``include_redundant``/``triples`` must
-        match the plan (checked); ``cache`` is ignored.
     cache:
         The :class:`~repro.core.assembly.AssemblyCache` to look the plan up
         in; ``None`` uses the process-wide default cache.
@@ -98,18 +86,6 @@ def build_constraints(
         # A pre-built index fixes the constraint tier (seed semantics:
         # the families consult vi.triples, not the keyword).
         triples = vi.triples
-    if plan is not None:
-        if triples is not None and _resolve_triples(network, triples) != plan.triples:
-            raise ValueError(
-                f"triples={triples!r} conflicts with the plan's tier "
-                f"(plan.triples={plan.triples})"
-            )
-        if include_redundant != plan.include_redundant:
-            raise ValueError(
-                f"include_redundant={include_redundant!r} conflicts with the "
-                f"plan (plan.include_redundant={plan.include_redundant})"
-            )
-        return plan.assemble(network, vi=vi)
     return assemble(
         network,
         vi=vi,

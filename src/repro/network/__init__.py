@@ -1,9 +1,7 @@
 """MAP queueing networks: unified model definition and exact analysis.
 
 :class:`Network` subsumes closed, open, and mixed networks via population
-descriptors (:class:`Closed`, :class:`OpenArrivals`, :class:`Mixed`);
-:class:`ClosedNetwork` is a deprecated alias kept for fingerprint-stable
-backward compatibility.
+descriptors (:class:`Closed`, :class:`OpenArrivals`, :class:`Mixed`).
 """
 
 from repro.network.stations import Station, queue, delay, multiserver
@@ -15,7 +13,7 @@ from repro.network.routing import (
     open_visit_ratios,
     routing_graph,
 )
-from repro.network.model import ClosedNetwork, Network, require_closed
+from repro.network.model import Network, require_closed
 from repro.network.statespace import NetworkStateSpace, PhaseLayout, StateSpaceCache
 from repro.network.exact import ExactSolution, build_generator, solve_exact
 from repro.network.kron import kronecker_generator
@@ -34,7 +32,6 @@ __all__ = [
     "open_visit_ratios",
     "routing_graph",
     "Network",
-    "ClosedNetwork",
     "require_closed",
     "NetworkStateSpace",
     "PhaseLayout",

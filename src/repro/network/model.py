@@ -14,15 +14,13 @@ repository builds on.  What distinguishes the three kinds is the
   closed chain routes by ``routing`` (stochastic), the open chain by
   ``open_routing`` (substochastic with sink).
 
-:class:`ClosedNetwork` survives as a thin deprecated alias — constructing
-one warns (once per process) and produces a :class:`Network` whose content
-fingerprint is identical to the pre-redesign digest, so cache keys and
+A closed :class:`Network` fingerprints exactly like the pre-redesign
+closed-network model of the same content, so cache keys and
 ``.repro-cache`` entries stay valid.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,7 +42,7 @@ from repro.network.routing import (
 from repro.network.stations import Station
 from repro.utils.errors import UnsupportedNetworkError, ValidationError
 
-__all__ = ["Network", "ClosedNetwork", "require_closed"]
+__all__ = ["Network", "require_closed"]
 
 
 def _validate_stations(stations) -> tuple[Station, ...]:
@@ -365,31 +363,3 @@ def require_closed(network: Network, method: str) -> None:
     kind = getattr(network, "kind", "closed")
     if kind != "closed":
         raise UnsupportedNetworkError(method, kind)
-
-
-_closed_network_warned = False
-
-
-class ClosedNetwork(Network):
-    """Deprecated alias of :class:`Network` with a ``Closed`` population.
-
-    Constructing one warns (:class:`DeprecationWarning`, once per process)
-    and yields a network whose content fingerprint equals the pre-redesign
-    digest, so existing cache entries stay valid.  New code should call
-    ``Network(stations, routing, population)`` directly — a bare ``int``
-    population means the same thing.
-    """
-
-    def __init__(self, stations, routing, population: int) -> None:
-        global _closed_network_warned
-        if not _closed_network_warned:
-            _closed_network_warned = True
-            warnings.warn(
-                "ClosedNetwork is deprecated; use repro.network.Network "
-                "(an int population still means a closed chain)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if isinstance(population, (Closed,)):
-            population = population.n
-        super().__init__(stations, routing, Closed(int(population)))

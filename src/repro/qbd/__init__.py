@@ -17,7 +17,6 @@ from repro.qbd.solver import (
     solve_qbd,
     solve_r_matrix,
 )
-from repro.qbd.mapm1 import MapM1Queue
 from repro.qbd.mapmap1 import MapMap1Queue
 from repro.qbd.opennet import (
     OpenNetworkResult,
@@ -30,7 +29,6 @@ __all__ = [
     "solve_r_matrix",
     "QbdSolution",
     "solve_qbd",
-    "MapM1Queue",
     "MapMap1Queue",
     "OpenNetworkResult",
     "OpenStationResult",

@@ -1,10 +1,9 @@
 """Open MAP network analysis by station-wise QBD decomposition.
 
-This lifts the repository's single-queue matrix-analytic solvers
-(:class:`~repro.qbd.mapm1.MapM1Queue`, :class:`~repro.qbd.mapmap1.MapMap1Queue`)
-to whole open networks.  Per-station arrival rates come exactly from the
-traffic equations; the arrival *process* each station sees is approximated
-from the external MAP:
+This lifts the repository's single-queue matrix-analytic solver
+(:class:`~repro.qbd.mapmap1.MapMap1Queue`) to whole open networks.
+Per-station arrival rates come exactly from the traffic equations; the
+arrival *process* each station sees is approximated from the external MAP:
 
 * ``v_k = 1`` — the station receives the external stream whole (e.g. the
   first queue of a tandem): the arrival MAP is exact.
@@ -17,11 +16,11 @@ from the external MAP:
   decomposition falls back to Poisson arrivals at rate ``lambda v_k``
   (the renewal approximation classical decomposition methods make).
 
-Each station then solves its own QBD: MAP/M/1 for exponential service,
-MAP/MAP/1 for MAP service (phase frozen while idle, the network
-convention), M/G/infinity for delay stations.  Throughputs are exact
-(traffic equations); utilizations are exact (``rho_k``); queue lengths and
-response times inherit the decomposition approximation.
+Each station then solves its own QBD: MAP/MAP/1 with the station's
+service MAP (phase frozen while idle, the network convention; MAP/M/1 when
+that MAP is exponential), M/G/infinity for delay stations.  Throughputs
+are exact (traffic equations); utilizations are exact (``rho_k``); queue
+lengths and response times inherit the decomposition approximation.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 from repro.maps.builders import exponential
 from repro.maps.operations import thin
 from repro.network.model import Network
-from repro.qbd.mapm1 import MapM1Queue
 from repro.qbd.mapmap1 import MapMap1Queue
 from repro.utils.errors import UnsupportedNetworkError
 
@@ -161,11 +159,7 @@ def solve_open_network(network: Network) -> OpenNetworkResult:
                 f"{st.name!r})", "open", supported="single-server open",
             )
         arr, model = _station_arrivals(network, k)
-        label = f"station {st.name!r}"
-        if st.phases == 1:
-            q = MapM1Queue(arr, mu=1.0 / st.mean_service_time, label=label)
-        else:
-            q = MapMap1Queue(arr, st.service, label=label)
+        q = MapMap1Queue(arr, st.service, label=f"station {st.name!r}")
         results.append(OpenStationResult(
             name=st.name,
             arrival_rate=lam_k,

@@ -1,16 +1,19 @@
 """Batched LP bound solving: assemble the constraint system once, reuse it.
 
-:func:`repro.core.lp.optimize_metric` is a one-shot API — every call pays
-for the dense objective vector, the stacked variable-bound array, and method
-selection.  :class:`BatchLPSolver` amortizes everything that does not depend
-on the objective across all min/max pairs of a model: the variable index,
-the assembled sparse constraint matrices, the ``(n, 2)`` bound array, and
-the HiGHS method choice.  Dense metric coefficient vectors are built once
-per canonical metric spec and reused across min/max senses (and across
-repeated :meth:`BatchLPSolver.bound_specs` calls), so a full
-standard-metric sweep performs exactly one constraint assembly, one
-anchor solve and ``2 * n_metrics`` bound solves (system throughput shares
-the reference station's pair) with no redundant re-densification.
+:class:`BatchLPSolver` is the one code path that solves an LP bound:
+:func:`~repro.core.bounds.bound_metric`,
+:func:`~repro.core.bounds.response_time_bounds`,
+:func:`~repro.core.bounds.solve_bounds`, the registry's ``lp`` adapter and
+population sweeps all solve on it, and :func:`_solve_pair` is where every
+bound's min and max are solved.  It amortizes everything that does not
+depend on the objective across all min/max pairs of a model: the variable
+index, the assembled sparse constraint matrices, the ``(n, 2)`` bound
+array, and the HiGHS method choice.  Dense metric coefficient vectors are
+built once per canonical metric spec and reused across min/max senses (and
+across repeated :meth:`BatchLPSolver.bound_specs` calls), so a full
+standard-metric sweep performs exactly one constraint assembly, one anchor
+solve and ``2 * n_metrics`` bound solves (system throughput shares the
+reference station's pair) with no redundant re-densification.
 
 Constraint assembly routes through the vectorized block kernel and its
 per-topology :class:`~repro.core.assembly.AssemblyCache` (the process-wide
@@ -264,17 +267,6 @@ class BatchLPSolver:
         self._anchor_due = self._engine.takes_start
 
     # ------------------------------------------------------------------ #
-    def optimize(self, metric: LinearMetric, sense: str) -> float:
-        """Optimal value of one metric in one direction, from the anchor."""
-        c = metric.dense(self.system.n_variables)
-        t0 = obs.clock()
-        info = _solve(
-            self._engine, c, sense, metric.name, self._anchor(), "lp.warm_starts"
-        )
-        self.solve_time_s += obs.clock() - t0
-        self._tally(info)
-        return info.value + metric.constant
-
     def bound(self, metric: LinearMetric) -> Interval:
         """[min, max] of one metric — one dense vector, one pair."""
         (interval,) = self._run_pairs([(metric, metric.dense(self.system.n_variables))])

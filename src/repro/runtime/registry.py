@@ -39,7 +39,7 @@ from repro.baselines.mva import mva
 from repro.core.bounds import Interval
 from repro.network.exact import solve_exact
 from repro.network.model import Network, require_closed
-from repro.qbd.mapm1 import MapM1Queue
+from repro.qbd.mapmap1 import MapMap1Queue
 from repro.qbd.opennet import solve_open_network
 from repro.runtime.batch import BatchLPSolver
 from repro.runtime.cache import ResultCache
@@ -408,8 +408,7 @@ def _solve_qbd(network: Network, reference: int = 0) -> SolveResult:
     server = max(exp_idx, key=lambda k: network.stations[k].mean_service_time)
     source = 1 - server
     arrivals = network.stations[source].service
-    mu = 1.0 / network.stations[server].mean_service_time
-    q = MapM1Queue(arrivals, mu=mu)
+    q = MapMap1Queue(arrivals, network.stations[server].service)
     if not q.is_stable:
         raise NotSupportedError(
             f"the qbd approximation requires rho < 1; got rho = "

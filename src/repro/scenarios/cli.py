@@ -199,7 +199,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _validate_report(net, name: str) -> dict:
-    """Machine-readable lint report: the JSON twin of the text tables.
+    """Machine-readable lint report, which ``validate`` prints as JSON or
+    renders as its text tables.
 
     Stations carry their kind/phase/mean/demand facts plus, for open
     chains, the per-station ``lambda_k``/``rho_k`` traffic solution and a
@@ -216,6 +217,8 @@ def _validate_report(net, name: str) -> dict:
         report["arrival_rate"] = float(net.arrivals.rate)
         rho = net.open_utilizations
         lam = net.arrival_rates
+    # The queueing bottleneck: think-time (delay) demand never saturates a
+    # server, so it cannot be the bottleneck.
     queue_demands = [
         float(demands[k]) for k, st in enumerate(net.stations)
         if st.kind != "delay"
@@ -262,16 +265,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         spec = load_spec(args.spec)
         net = network_from_spec(spec)
-    except ReproError as exc:
-        if args.json:
-            print(json.dumps(
-                {"valid": False, "error": str(exc),
-                 "error_type": type(exc).__name__},
-                indent=2,
-            ))
-        else:
-            print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - lint contract: report, exit 1
         # YAML syntax errors, unreadable files, and anything else that
         # stops the spec from compiling is a lint failure, not a crash.
@@ -281,56 +274,41 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                  "error_type": type(exc).__name__},
                 indent=2,
             ))
+        elif isinstance(exc, ReproError):
+            print(f"INVALID: {exc}", file=sys.stderr)
         else:
             print(f"INVALID: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     name = spec.get("name", args.spec if "\n" not in args.spec else "(inline)")
+    report = _validate_report(net, name)
     if args.json:
-        print(json.dumps(_validate_report(net, name), indent=2))
+        print(json.dumps(report, indent=2))
         return 0
-    kind = net.kind
-    rows = []
+    kind = report["kind"]
     if kind == "closed":
-        demands = net.service_demands
-        # The queueing bottleneck: think-time (delay) demand never
-        # saturates a server, so it cannot be the bottleneck.
-        queue_demands = [
-            float(demands[k]) for k, st in enumerate(net.stations)
-            if st.kind != "delay"
+        rows = [
+            [s["name"], s["kind"], s["phases"], round(s["mean_service_time"], 6),
+             round(s["demand"], 6), "bottleneck" if s["bottleneck"] else ""]
+            for s in report["stations"]
         ]
-        d_max = max(queue_demands) if queue_demands else float("nan")
-        for k, st in enumerate(net.stations):
-            d = float(demands[k])
-            rows.append([
-                st.name, st.kind, st.phases, round(st.mean_service_time, 6),
-                round(d, 6),
-                "bottleneck" if d == d_max and st.kind != "delay" else "",
-            ])
         print(format_table(
             ["station", "kind", "K", "E[S]", "demand", ""],
             rows,
-            title=f"VALID closed spec: {name} (N={net.population})",
+            title=f"VALID closed spec: {name} (N={report['population']})",
         ))
         print(
             "closed networks are unconditionally stable; utilizations "
             "approach demand/max-demand as N grows"
         )
         return 0
-    rho = net.open_utilizations
-    lam = net.arrival_rates
-    for k, st in enumerate(net.stations):
-        r = float(rho[k])
-        verdict = (
-            "-" if st.kind == "delay"
-            else "NEAR SATURATION" if r > 0.95
-            else "stable"
-        )
-        rows.append([
-            st.name, st.kind, st.phases, round(st.mean_service_time, 6),
-            round(float(lam[k]), 6), round(r, 6), verdict,
-        ])
-    title = f"VALID {kind} spec: {name} (lambda={net.arrivals.rate:.6g}"
-    title += f", N={net.population})" if kind == "mixed" else ")"
+    rows = [
+        [s["name"], s["kind"], s["phases"], round(s["mean_service_time"], 6),
+         round(s["lambda_k"], 6), round(s["rho_k"], 6),
+         "NEAR SATURATION" if s["stability"] == "near-saturation" else s["stability"]]
+        for s in report["stations"]
+    ]
+    title = f"VALID {kind} spec: {name} (lambda={report['arrival_rate']:.6g}"
+    title += f", N={report['population']})" if kind == "mixed" else ")"
     print(format_table(
         ["station", "kind", "K", "E[S]", "lambda_k", "rho_k", "stability"],
         rows,

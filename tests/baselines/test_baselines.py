@@ -5,13 +5,13 @@ import pytest
 
 from repro.baselines import aba_bounds, bjb_bounds, decomposition, mva
 from repro.maps import MAP, erlang, exponential, fit_map2, mmpp2
-from repro.network import ClosedNetwork, Network, delay, multiserver, queue, solve_exact
+from repro.network import Network, delay, multiserver, queue, solve_exact
 from repro.utils.errors import NotSupportedError, SolverError, ValidationError
 
 
-def exp_network(N: int = 6) -> ClosedNetwork:
+def exp_network(N: int = 6) -> Network:
     P = np.array([[0.2, 0.7, 0.1], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    return ClosedNetwork(
+    return Network(
         [
             queue("q1", exponential(2.0)),
             queue("q2", exponential(3.0)),
@@ -34,7 +34,7 @@ class TestMVA:
 
     def test_delay_station(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [delay("think", exponential(0.5)), queue("cpu", exponential(2.0))], P, 5
         )
         res = mva(net)
@@ -53,7 +53,7 @@ class TestMVA:
 
     def test_rejects_map_service(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", mmpp2(0.1, 0.1, 1.0, 2.0)), queue("b", exponential(1.0))], P, 3
         )
         with pytest.raises(ValidationError):
@@ -77,7 +77,7 @@ class TestABA:
 
     def test_brackets_exact_map_network(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", fit_map2(1.0, 9.0, 0.5)), queue("b", exponential(1.5))], P, 8
         )
         sol = solve_exact(net)
@@ -96,7 +96,7 @@ class TestABA:
 
     def test_think_time_enters_z(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [delay("think", exponential(0.5)), queue("cpu", exponential(2.0))], P, 5
         )
         b = aba_bounds(net)
@@ -122,7 +122,7 @@ class TestBJB:
 
     def test_exact_for_balanced_network(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", exponential(1.0)), queue("b", exponential(1.0))], P, 7
         )
         X = mva(net).system_throughput
@@ -132,7 +132,7 @@ class TestBJB:
 
     def test_rejects_delay(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [delay("think", exponential(0.5)), queue("cpu", exponential(2.0))], P, 3
         )
         with pytest.raises(NotSupportedError):
@@ -158,7 +158,7 @@ class TestDecomposition:
         """
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         slow = mmpp2(r1=1e-5, r2=1e-5, lam1=0.6, lam2=0.3)
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", slow), queue("b", exponential(5.0))], P, 8
         )
         sol = solve_exact(net)
@@ -173,7 +173,7 @@ class TestDecomposition:
         bursty = fit_map2(1.0, 16.0, 0.5)
         x_errors = []
         for N in (2, 25):
-            net = ClosedNetwork(
+            net = Network(
                 [queue("a", bursty), queue("b", exponential(1.05))], P, N
             )
             sol = solve_exact(net)
@@ -187,7 +187,7 @@ class TestDecomposition:
 
     def test_population_conservation(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", mmpp2(0.2, 0.1, 2.0, 0.4)), queue("b", exponential(1.0))],
             P,
             6,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.maps import exponential, fit_map2, mmpp2, random_map2
-from repro.network import ClosedNetwork, delay, queue
+from repro.network import Network, delay, queue
 
 
 @pytest.fixture(scope="session")
@@ -14,7 +14,7 @@ def fig5_small():
     routing = np.array(
         [[0.2, 0.7, 0.1], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
     )
-    return ClosedNetwork(
+    return Network(
         [
             queue("q1", exponential(2.0)),
             queue("q2", exponential(3.0)),
@@ -29,7 +29,7 @@ def fig5_small():
 def tandem_map():
     """Two-queue closed tandem with one MMPP(2) server (Figure 4 shape)."""
     routing = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return ClosedNetwork(
+    return Network(
         [
             queue("q1", mmpp2(0.05, 0.02, 2.5, 0.4)),
             queue("q2", exponential(1.5)),
@@ -45,7 +45,7 @@ def delay_network():
     routing = np.array(
         [[0.0, 1.0, 0.0], [0.3, 0.0, 0.7], [0.0, 1.0, 0.0]]
     )
-    return ClosedNetwork(
+    return Network(
         [
             delay("clients", exponential(0.5)),
             queue("front", fit_map2(0.4, 9.0, 0.7)),
@@ -56,7 +56,7 @@ def delay_network():
     )
 
 
-def random_network(seed: int, population: int = 5) -> ClosedNetwork:
+def random_network(seed: int, population: int = 5) -> Network:
     """Random 3-queue network in the style of the paper's Table 1 setup."""
     rng = np.random.default_rng(seed)
     stations = []
@@ -69,6 +69,6 @@ def random_network(seed: int, population: int = 5) -> ClosedNetwork:
     while True:
         P = rng.dirichlet(np.ones(3) * 0.8, size=3)
         try:
-            return ClosedNetwork(stations, P, population)
+            return Network(stations, P, population)
         except Exception:
             continue

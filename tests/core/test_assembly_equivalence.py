@@ -21,15 +21,15 @@ from repro.core import (
     canonical_form,
     build_constraints,
     build_constraints_reference,
-    optimize_metric,
     queue_length_metric,
     system_throughput_metric,
     throughput_metric,
     utilization_metric,
 )
 from repro.core.assembly import AssemblyPlan, topology_key
+from repro.core.lpbackend import make_lp_engine
 from repro.maps import exponential, fit_map2, random_map2
-from repro.network import ClosedNetwork, delay, queue
+from repro.network import Network, delay, queue
 from repro.runtime.batch import BatchLPSolver
 from repro.scenarios import get_scenario_registry
 
@@ -88,7 +88,7 @@ def test_catalog_scenario_redundant_families_identical(name):
 # structured edge cases
 # ---------------------------------------------------------------------- #
 def test_single_station_self_loop():
-    net = ClosedNetwork(
+    net = Network(
         [queue("q", fit_map2(1.0, 4.0, 0.2))], np.array([[1.0]]), 3
     )
     assert_same_polytope(*both_paths(net))
@@ -96,7 +96,7 @@ def test_single_station_self_loop():
 
 def test_delay_station_sources():
     routing = np.array([[0.0, 1.0, 0.0], [0.3, 0.0, 0.7], [0.0, 1.0, 0.0]])
-    net = ClosedNetwork(
+    net = Network(
         [
             delay("clients", exponential(0.5)),
             queue("web", fit_map2(1.0, 9.0, 0.3)),
@@ -112,7 +112,7 @@ def test_delay_station_sources():
 def test_self_routing_probability_mass():
     # Self loops exercise the q_kk terms of families A/H and F's k == j case.
     routing = np.array([[0.5, 0.5], [0.4, 0.6]])
-    net = ClosedNetwork(
+    net = Network(
         [queue("a", fit_map2(1.0, 5.0, 0.4)), queue("b", exponential(2.0))],
         routing,
         5,
@@ -139,7 +139,7 @@ def test_random_network_polytopes_identical(seed, M, N, tier):
     ]
     routing = rng.uniform(0.05, 1.0, size=(M, M))
     routing /= routing.sum(axis=1, keepdims=True)
-    net = ClosedNetwork(stations, routing, N)
+    net = Network(stations, routing, N)
     assert_same_polytope(*both_paths(net, triples=tier))
 
 
@@ -157,13 +157,12 @@ def test_standard_bounds_match_reference_within_1e_9(name):
     # 1e-9 agreement check.
     ref_system = build_constraints_reference(net)
     vi = ref_system.vi
+    ref = make_lp_engine(ref_system, solver.method, "scipy")
 
     def want(metric):
+        c = metric.dense(ref_system.n_variables)
         lo, hi = (
-            optimize_metric(
-                ref_system, metric, sense, method=solver.method, backend="scipy"
-            ).value
-            for sense in ("min", "max")
+            ref.solve(c, sense).value + metric.constant for sense in ("min", "max")
         )
         return min(lo, hi), max(lo, hi)
 
@@ -223,7 +222,7 @@ def test_plan_rejects_same_shape_different_topology():
     # would silently produce the wrong LP, so assemble must refuse.
     reg = get_scenario_registry()
     net = reg.get("bursty-tandem").network(population=2)
-    other = ClosedNetwork(
+    other = Network(
         [queue(st.name, exponential(1.0 / (st.mean_service_time * 2)))
          if st.phases == 1 else st for st in net.stations],
         net.routing,
@@ -246,15 +245,11 @@ def test_prebuilt_variable_index_fixes_the_tier():
     vec = build_constraints(net, vi, cache=AssemblyCache())
     ref = build_constraints_reference(net, VariableIndex(net, triples=False))
     assert_same_polytope(ref, vec)
-    # An explicit conflicting tier against a fixed plan is an error, not
-    # a silently wrong polytope.
+    # An index of another tier than a fixed plan's is an error, not a
+    # silently wrong polytope.
     plan = AssemblyPlan(net, triples=True)
     with pytest.raises(ValueError):
-        build_constraints(net, vi, plan=plan)
-    with pytest.raises(ValueError):
-        build_constraints(net, plan=plan, include_redundant=True)
-    with pytest.raises(ValueError):
-        build_constraints(net, plan=plan, triples=False)
+        plan.assemble(net, vi=vi)
 
 
 def test_lazy_labels_behave_like_lists():

@@ -13,6 +13,7 @@ from repro.core import (
     utilization_metric,
     VariableIndex,
 )
+from repro.core.lpbackend import make_lp_engine
 from repro.network import solve_exact
 from repro.utils.errors import NotSupportedError
 
@@ -82,11 +83,10 @@ class TestBracketing:
 
     def test_higher_moment_bracketing(self, fig5_small):
         sol = solve_exact(fig5_small)
-        system = build_constraints(fig5_small)
-        vi = system.vi
+        vi = VariableIndex(fig5_small)
         for order in (1, 2, 3):
             m = queue_length_moment_metric(fig5_small, vi, 2, order)
-            iv = bound_metric(fig5_small, m, system)
+            iv = bound_metric(fig5_small, m)
             assert iv.contains(sol.queue_length_moment(2, order))
 
 
@@ -106,10 +106,10 @@ class TestTightness:
         """On an exponential (product-form) network the marginal system
         pins the solution nearly exactly."""
         from repro.maps import exponential
-        from repro.network import ClosedNetwork, queue
+        from repro.network import Network, queue
 
         routing = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", exponential(1.0)), queue("b", exponential(2.0))],
             routing,
             6,
@@ -135,10 +135,10 @@ class TestTightness:
 class TestRejections:
     def test_multiserver_not_supported(self):
         from repro.maps import exponential
-        from repro.network import ClosedNetwork, multiserver, queue
+        from repro.network import Network, multiserver, queue
 
         routing = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [
                 queue("a", exponential(1.0)),
                 multiserver("b", exponential(1.0), servers=3),
@@ -150,12 +150,24 @@ class TestRejections:
             build_constraints(net)
 
     def test_bad_sense_rejected(self, fig5_small):
-        from repro.core.lp import optimize_metric
-
         system = build_constraints(fig5_small)
-        metric = utilization_metric(fig5_small, system.vi, 0)
-        with pytest.raises(ValueError):
-            optimize_metric(system, metric, "sideways")
+        c = utilization_metric(fig5_small, system.vi, 0).dense(system.n_variables)
+        for backend in ("auto", "scipy"):
+            with pytest.raises(ValueError):
+                make_lp_engine(system, backend=backend).solve(c, "sideways")
+
+    def test_no_bound_takes_another_models_system(self, fig5_small):
+        """A bound is taken over the polytope of the network it names: a
+        prebuilt constraint system (here another population's) is no
+        argument of ``bound_metric`` or ``response_time_bounds``."""
+        other = build_constraints(fig5_small.with_population(fig5_small.population + 2))
+        metric = utilization_metric(fig5_small, VariableIndex(fig5_small), 0)
+        with pytest.raises(TypeError):
+            bound_metric(fig5_small, metric, other)
+        with pytest.raises(TypeError):
+            response_time_bounds(fig5_small, system=other)
+        with pytest.raises(TypeError):  # nor positionally, as the tier
+            response_time_bounds(fig5_small, 0, other)
 
 
 class TestVariableIndex:
@@ -183,9 +195,9 @@ class TestVariableIndex:
 
     def test_triples_never_for_two_stations(self):
         from repro.maps import exponential
-        from repro.network import ClosedNetwork, queue
+        from repro.network import Network, queue
 
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", exponential(1.0)), queue("b", exponential(2.0))],
             np.array([[0.0, 1.0], [1.0, 0.0]]),
             3,

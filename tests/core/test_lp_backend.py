@@ -1,26 +1,13 @@
-"""Tests for the LP backend: method selection, fallbacks, metric algebra."""
+"""Metric algebra and variable labels of the LP (the solve engines are
+tested in ``test_lpbackend.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.core import build_constraints, throughput_metric, utilization_metric
-from repro.core.lp import _IPM_THRESHOLD, optimize_metric
 from repro.core.objectives import LinearMetric
 from repro.core.variables import VariableIndex
 from repro.maps import exponential, fit_map2
-from repro.network import ClosedNetwork, queue
-
-
-@pytest.fixture(scope="module")
-def system():
-    routing = np.array([[0.0, 1.0], [1.0, 0.0]])
-    net = ClosedNetwork(
-        [queue("a", fit_map2(1.0, 4.0, 0.4)), queue("b", exponential(1.4))],
-        routing,
-        5,
-    )
-    vi = VariableIndex(net)
-    return net, vi, build_constraints(net, vi)
+from repro.network import Network, queue
 
 
 class TestLinearMetric:
@@ -36,67 +23,12 @@ class TestLinearMetric:
         assert m.evaluate(np.array([0.0, 3.0])) == pytest.approx(6.5)
 
 
-class TestOptimizeMetric:
-    def test_min_below_max(self, system):
-        net, vi, sys_c = system
-        m = throughput_metric(net, vi, 0)
-        lo = optimize_metric(sys_c, m, "min")
-        hi = optimize_metric(sys_c, m, "max")
-        assert lo.value <= hi.value + 1e-9
-
-    def test_solution_vector_feasible(self, system):
-        net, vi, sys_c = system
-        m = utilization_metric(net, vi, 0)
-        sol = optimize_metric(sys_c, m, "min")
-        eq_res, ub_res = sys_c.residuals(sol.x)
-        assert np.abs(eq_res).max() < 1e-7
-        assert ub_res.max() < 1e-7
-
-    def test_explicit_methods_agree(self, system):
-        net, vi, sys_c = system
-        m = throughput_metric(net, vi, 0)
-        simplex = optimize_metric(sys_c, m, "min", method="highs")
-        ipm = optimize_metric(sys_c, m, "min", method="highs-ipm")
-        assert simplex.value == pytest.approx(ipm.value, abs=1e-6)
-
-    def test_auto_selects_simplex_for_small(self, system):
-        net, vi, sys_c = system
-        assert sys_c.n_variables <= _IPM_THRESHOLD
-        m = throughput_metric(net, vi, 0)
-        sol = optimize_metric(sys_c, m, "min", method="auto")
-        assert sol.status == 0
-        assert sol.method_used == "highs"
-
-    def test_method_used_surfaced_on_both_backends(self, system):
-        net, vi, sys_c = system
-        m = throughput_metric(net, vi, 0)
-        for backend in ("auto", "scipy"):
-            sol = optimize_metric(
-                sys_c, m, "min", method="highs-ipm", backend=backend
-            )
-            assert sol.method_used == "highs-ipm"
-            assert sol.n_iterations >= 0
-
-    def test_backends_agree(self, system):
-        net, vi, sys_c = system
-        m = throughput_metric(net, vi, 0)
-        for sense in ("min", "max"):
-            a = optimize_metric(sys_c, m, sense, backend="auto")
-            b = optimize_metric(sys_c, m, sense, backend="scipy")
-            assert a.value == pytest.approx(b.value, abs=1e-9)
-
-    def test_rejects_bad_sense(self, system):
-        net, vi, sys_c = system
-        with pytest.raises(ValueError):
-            optimize_metric(sys_c, throughput_metric(net, vi, 0), "upward")
-
-
 class TestVariableDescribe:
     def test_triple_blocks_describable(self):
         routing = np.array(
             [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
         )
-        net = ClosedNetwork(
+        net = Network(
             [
                 queue("a", exponential(1.0)),
                 queue("b", exponential(2.0)),
@@ -114,7 +46,7 @@ class TestVariableDescribe:
 
     def test_describe_out_of_range(self):
         routing = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", exponential(1.0)), queue("b", exponential(2.0))],
             routing,
             2,

@@ -5,7 +5,6 @@ import pytest
 import scipy.optimize
 
 from repro.core import build_constraints, queue_length_metric, throughput_metric
-from repro.core.lp import optimize_metric
 from scipy.optimize import OptimizeResult, linprog
 
 import repro.core.lpbackend as lpbackend
@@ -21,7 +20,7 @@ from repro.core.lpbackend import (
 )
 from repro.core.variables import VariableIndex
 from repro.maps import exponential, fit_map2
-from repro.network import ClosedNetwork, queue
+from repro.network import Network, queue
 from repro.runtime.batch import BatchLPSolver
 from repro.utils.errors import SolverError
 
@@ -31,7 +30,7 @@ needs_highs = pytest.mark.skipif(
 
 
 def two_station(N: int = 5):
-    net = ClosedNetwork(
+    net = Network(
         [queue("a", fit_map2(1.0, 4.0, 0.4)), queue("b", exponential(1.4))],
         np.array([[0.0, 1.0], [1.0, 0.0]]),
         N,
@@ -77,6 +76,34 @@ class TestChooseMethod:
         assert choose_lp_method(_IPM_THRESHOLD + 1) == "highs-ipm"
 
 
+class TestMakeLpEngine:
+    """Solves on the engine :func:`make_lp_engine` builds, whichever
+    backend this process has."""
+
+    def test_explicit_methods_agree(self, system):
+        net, vi, sys_c = system
+        c = throughput_metric(net, vi, 0).dense(sys_c.n_variables)
+        simplex = make_lp_engine(sys_c, "highs").solve(c, "min")
+        ipm = make_lp_engine(sys_c, "highs-ipm").solve(c, "min")
+        assert simplex.value == pytest.approx(ipm.value, abs=1e-6)
+
+    def test_auto_selects_simplex_for_small(self, system):
+        net, vi, sys_c = system
+        assert sys_c.n_variables <= _IPM_THRESHOLD
+        engine = make_lp_engine(sys_c)
+        assert engine.method == "highs"
+        c = throughput_metric(net, vi, 0).dense(sys_c.n_variables)
+        assert engine.solve(c, "min").method_used == "highs"
+
+    def test_method_used_surfaced_on_both_backends(self, system):
+        net, vi, sys_c = system
+        c = throughput_metric(net, vi, 0).dense(sys_c.n_variables)
+        for backend in ("auto", "scipy"):
+            info = make_lp_engine(sys_c, "highs-ipm", backend).solve(c, "min")
+            assert info.method_used == "highs-ipm"
+            assert info.n_iterations >= 0
+
+
 @needs_highs
 class TestPersistentSolves:
     def test_matches_stateless_scipy(self, system):
@@ -87,10 +114,8 @@ class TestPersistentSolves:
             c = metric.dense(sys_c.n_variables)
             for sense in ("min", "max"):
                 info = plp.solve(c.copy(), sense)
-                ref = optimize_metric(sys_c, metric, sense, backend="scipy")
-                assert info.value + metric.constant == pytest.approx(
-                    ref.value, abs=1e-9
-                )
+                ref = make_lp_engine(sys_c, backend="scipy").solve(c, sense)
+                assert info.value == pytest.approx(ref.value, abs=1e-9)
 
     def test_solution_vector_feasible(self, system):
         net, vi, sys_c = system
@@ -147,12 +172,10 @@ class TestPersistentSolves:
             PersistentLP(sys_c).solve(None, "upward")
         # a linprog-only method is no way round the check: both engines
         # accept auto/highs/highs-ipm and nothing else
+        c = throughput_metric(net, vi, 0).dense(sys_c.n_variables)
         for backend in ("auto", "scipy"):
             with pytest.raises(ValueError, match="highs-ds"):
-                optimize_metric(
-                    sys_c, throughput_metric(net, vi, 0), "min",
-                    method="highs-ds", backend=backend,
-                )
+                make_lp_engine(sys_c, "highs-ds", backend).solve(c, "min")
 
     def test_retry_ladder_reports_fallbacks(self, system, monkeypatch):
         net, vi, sys_c = system
@@ -172,9 +195,7 @@ class TestPersistentSolves:
         info = plp.solve(c, "min")
         assert info.n_fallbacks == 1
         assert info.method_used == "highs-ipm"  # the alternate algorithm
-        ref = optimize_metric(
-            sys_c, throughput_metric(net, vi, 0), "min", backend="scipy"
-        )
+        ref = make_lp_engine(sys_c, backend="scipy").solve(c, "min")
         assert info.value == pytest.approx(ref.value, abs=1e-9)
 
     def test_failed_warm_attempt_retries_cold(self, system, monkeypatch):

@@ -54,10 +54,10 @@ class TestExactnessRandomized:
         import numpy as np
 
         from repro.maps import exponential, fit_map2
-        from repro.network import ClosedNetwork, queue
+        from repro.network import Network, queue
 
         routing = np.array([[0.5, 0.5], [0.4, 0.6]])
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", fit_map2(1.0, 4.0, 0.3)), queue("b", exponential(2.0))],
             routing,
             5,

@@ -39,9 +39,9 @@ def test_bounds_station_summary_renders():
 
     from repro.core import solve_bounds
     from repro.maps import exponential, fit_map2
-    from repro.network import ClosedNetwork, queue
+    from repro.network import Network, queue
 
-    net = ClosedNetwork(
+    net = Network(
         [queue("a", fit_map2(1.0, 4.0, 0.3)), queue("b", exponential(1.5))],
         np.array([[0.0, 1.0], [1.0, 0.0]]),
         4,

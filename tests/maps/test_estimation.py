@@ -94,12 +94,12 @@ class TestFitFromTrace:
         a service-process fit is judged through the queue, not the trace.
         """
         from repro.maps import exponential as expo
-        from repro.network import ClosedNetwork, queue, solve_exact
+        from repro.network import Network, queue, solve_exact
 
         routing = np.array([[0.0, 1.0], [1.0, 0.0]])
 
         def response(m):
-            net = ClosedNetwork(
+            net = Network(
                 [queue("svc", m), queue("other", expo(1.2))], routing, 8
             )
             return solve_exact(net).response_time(0)

@@ -1,20 +1,17 @@
-"""Deprecation-shim guarantees of the unified Network redesign.
+"""Fingerprint stability across the unified Network redesign.
 
-``ClosedNetwork`` must keep working as a thin alias: constructing one warns
-(once per process), yields a genuine ``Network``, and — critically —
-fingerprints *identically to the pre-redesign digest*, so cache keys stay
-stable and existing ``.repro-cache`` entries remain valid.
+The deprecated ``ClosedNetwork`` alias is gone; what it guaranteed stays
+pinned here.  A closed ``Network`` built with an ``int`` population (or
+``Closed(n)``) fingerprints *identically to the pre-redesign digest*, so
+cache keys stay stable and existing ``.repro-cache`` entries remain valid.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.maps.builders import exponential
 from repro.maps.fitting import fit_map2
-from repro.network import model as model_module
-from repro.network.model import ClosedNetwork, Network
+from repro.network.model import Network
 from repro.network.population import Closed
 from repro.network.stations import Station
 from repro.runtime.fingerprint import fingerprint_network, fingerprint_solve
@@ -31,49 +28,34 @@ PRE_REDESIGN_DIGESTS = {
 }
 
 
-def _reference_closed(cls=ClosedNetwork):
+def _reference_closed(population=7):
     stations = [
         Station("a", exponential(2.0)),
         Station("b", fit_map2(1.0, 16.0, 0.5)),
     ]
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return cls(stations, P, 7)
+    return Network(stations, P, population)
 
 
 class TestClosedNetworkShim:
+    """What the retired ``ClosedNetwork`` alias built, ``Network`` builds."""
+
     def test_constructing_yields_a_network(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            net = _reference_closed()
+        net = _reference_closed()
         assert isinstance(net, Network)
         assert net.kind == "closed"
         assert net.population == 7
         assert isinstance(net.chain, Closed)
 
-    def test_warns_deprecation_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(model_module, "_closed_network_warned", False)
-        with pytest.warns(DeprecationWarning, match="ClosedNetwork"):
-            _reference_closed()
-        # second construction stays silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            _reference_closed()
-
     def test_fingerprint_matches_pre_redesign_digest(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            net = _reference_closed()
+        """An ``int`` population and ``Closed(n)`` give the same keys, and
+        both the pinned pre-redesign digest."""
+        net, described = _reference_closed(), _reference_closed(Closed(7))
         assert fingerprint_network(net) == PRE_REDESIGN_DIGESTS["tandem2"]
-
-    def test_shim_and_network_fingerprint_identically(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = _reference_closed()
-        modern = _reference_closed(cls=Network)
-        assert fingerprint_network(legacy) == fingerprint_network(modern)
+        assert fingerprint_network(described) == PRE_REDESIGN_DIGESTS["tandem2"]
         opts = {"reference": 0}
-        assert fingerprint_solve(legacy, "exact", opts) == fingerprint_solve(
-            modern, "exact", opts
+        assert fingerprint_solve(net, "exact", opts) == fingerprint_solve(
+            described, "exact", opts
         )
 
     @pytest.mark.parametrize(
@@ -84,9 +66,6 @@ class TestClosedNetworkShim:
         assert get_scenario(name).fingerprint() == PRE_REDESIGN_DIGESTS[name]
 
     def test_with_population_returns_modern_network(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            net = _reference_closed()
-        grown = net.with_population(20)
+        grown = _reference_closed().with_population(20)
         assert isinstance(grown, Network)
         assert grown.population == 20

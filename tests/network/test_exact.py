@@ -7,7 +7,7 @@ import pytest
 
 from repro.maps import exponential, fit_map2, mmpp2
 from repro.network import (
-    ClosedNetwork,
+    Network,
     NetworkStateSpace,
     build_generator,
     delay,
@@ -17,9 +17,9 @@ from repro.network import (
 )
 
 
-def tandem(mu1: float, mu2: float, N: int) -> ClosedNetwork:
+def tandem(mu1: float, mu2: float, N: int) -> Network:
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return ClosedNetwork(
+    return Network(
         [queue("a", exponential(mu1)), queue("b", exponential(mu2))], P, N
     )
 
@@ -28,7 +28,7 @@ class TestStateSpace:
     def test_figure6_twelve_states(self):
         """Paper Figure 6: 3 queues (one MMPP(2)), N=2 -> 12 CTMC states."""
         P = np.array([[0.2, 0.7, 0.1], [1, 0, 0], [1, 0, 0]], dtype=float)
-        net = ClosedNetwork(
+        net = Network(
             [
                 queue("q1", exponential(1.0)),
                 queue("q2", exponential(2.0)),
@@ -43,7 +43,7 @@ class TestStateSpace:
 
     def test_decode_round_trip(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", mmpp2(0.1, 0.1, 1.0, 2.0)), queue("b", exponential(1.0))],
             P,
             3,
@@ -58,7 +58,7 @@ class TestStateSpace:
 
     def test_encode_validates_inputs(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", mmpp2(0.1, 0.1, 1.0, 2.0)), queue("b", exponential(1.0))],
             P,
             3,
@@ -73,7 +73,7 @@ class TestStateSpace:
 
     def test_generator_rows_sum_to_zero(self):
         P = np.array([[0.2, 0.8], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", fit_map2(1.0, 4.0, 0.5)), queue("b", exponential(2.0))],
             P,
             4,
@@ -83,7 +83,7 @@ class TestStateSpace:
 
     def test_generator_offdiagonal_nonnegative(self):
         P = np.array([[0.2, 0.8], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [queue("a", fit_map2(1.0, 4.0, 0.5)), queue("b", exponential(2.0))],
             P,
             4,
@@ -108,7 +108,7 @@ class TestClosedFormAgreement:
         """Delay + single exponential queue = classic machine-repair model."""
         N, lam, mu = 5, 0.5, 2.0
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [delay("think", exponential(lam)), queue("cpu", exponential(mu))], P, N
         )
         sol = solve_exact(net)
@@ -125,7 +125,7 @@ class TestClosedFormAgreement:
         """Closed multiserver vs. an equivalent birth-death chain."""
         N, s, lam, mu = 6, 2, 1.0, 0.7
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [delay("src", exponential(lam)), multiserver("srv", exponential(mu), s)],
             P,
             N,
@@ -145,7 +145,7 @@ class TestInvariants:
     @pytest.fixture(scope="class")
     def sol(self):
         P = np.array([[0.1, 0.6, 0.3], [0.9, 0.0, 0.1], [1.0, 0.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [
                 queue("q1", exponential(2.0)),
                 queue("q2", fit_map2(0.5, 8.0, 0.6)),

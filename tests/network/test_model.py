@@ -1,11 +1,11 @@
-"""Tests for stations, routing, and the ClosedNetwork model."""
+"""Tests for stations, routing, and the Network model."""
 
 import numpy as np
 import pytest
 
 from repro.maps import exponential, mmpp2
 from repro.network import (
-    ClosedNetwork,
+    Network,
     delay,
     multiserver,
     queue,
@@ -100,7 +100,7 @@ class TestClosedNetwork:
     @pytest.fixture()
     def net(self):
         P = np.array([[0.2, 0.7, 0.1], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        return ClosedNetwork(
+        return Network(
             [
                 queue("q1", exponential(2.0)),
                 queue("q2", exponential(3.0)),
@@ -141,14 +141,14 @@ class TestClosedNetwork:
     def test_rejects_duplicate_names(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValidationError):
-            ClosedNetwork(
+            Network(
                 [queue("a", exponential(1.0)), queue("a", exponential(2.0))], P, 2
             )
 
     def test_rejects_zero_population(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValidationError):
-            ClosedNetwork(
+            Network(
                 [queue("a", exponential(1.0)), queue("b", exponential(2.0))], P, 0
             )
 

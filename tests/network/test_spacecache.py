@@ -5,7 +5,7 @@ import pytest
 
 from repro.maps import exponential, mmpp2
 from repro.network import (
-    ClosedNetwork,
+    Network,
     NetworkStateSpace,
     PhaseLayout,
     StateSpaceCache,
@@ -19,7 +19,7 @@ from repro.transient import transient_trajectories
 @pytest.fixture()
 def tandem():
     routing = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return ClosedNetwork(
+    return Network(
         [queue("q1", mmpp2(0.05, 0.02, 2.5, 0.4)), queue("q2", exponential(1.5))],
         routing,
         4,

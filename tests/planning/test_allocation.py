@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.maps import exponential, fit_map2
-from repro.network import ClosedNetwork, queue, solve_exact
+from repro.network import Network, queue, solve_exact
 from repro.planning import greedy_speed_allocation, rank_configurations
 from repro.utils.errors import ValidationError
 
 
-def bursty_tandem(mu2: float = 1.5, N: int = 8) -> ClosedNetwork:
+def bursty_tandem(mu2: float = 1.5, N: int = 8) -> Network:
     routing = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return ClosedNetwork(
+    return Network(
         [
             queue("bursty", fit_map2(1.0, 9.0, 0.5)),
             queue("plain", exponential(mu2)),

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.maps import exponential, fit_map2, mmpp2
 from repro.markov import steady_state_ctmc
-from repro.qbd import MapM1Queue, MapMap1Queue
+from repro.qbd import MapMap1Queue
 from repro.utils.errors import ValidationError
 
 
@@ -66,17 +66,6 @@ class TestReductions:
         dist = q.queue_length_distribution(12)
         expected = (1 - rho) * rho ** np.arange(13)
         assert np.allclose(dist, expected, atol=1e-10)
-
-    def test_matches_mapm1_for_exponential_service(self):
-        arrivals = fit_map2(1.0, 9.0, 0.5)
-        a = MapMap1Queue(arrivals, exponential(1.4))
-        b = MapM1Queue(arrivals, 1.4)
-        assert a.mean_queue_length == pytest.approx(b.mean_queue_length, rel=1e-8)
-        assert np.allclose(
-            a.queue_length_distribution(15),
-            b.queue_length_distribution(15),
-            atol=1e-9,
-        )
 
 
 class TestBurstinessEffects:

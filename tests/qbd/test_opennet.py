@@ -11,7 +11,7 @@ from repro.maps.fitting import fit_map2
 from repro.network.model import Network
 from repro.network.population import OpenArrivals
 from repro.network.stations import Station
-from repro.qbd import MapM1Queue, MapMap1Queue, solve_open_network
+from repro.qbd import MapMap1Queue, solve_open_network
 from repro.utils.errors import (
     NearInstabilityWarning,
     SolverError,
@@ -31,7 +31,7 @@ class TestDecompositionExactness:
         arr = fit_map2(1.0, 16.0, 0.5)
         net = _single_queue(arr, mean=0.7)
         sol = solve_open_network(net)
-        oracle = MapM1Queue(arr, mu=1.0 / 0.7)
+        oracle = MapMap1Queue(arr, exponential(1.0 / 0.7))
         s = sol.stations[0]
         assert s.utilization == pytest.approx(oracle.utilization, rel=1e-9)
         assert s.mean_queue_length == pytest.approx(
@@ -156,7 +156,7 @@ class TestLogarithmicReductionQuality:
         t0 = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NearInstabilityWarning)
-            q = MapM1Queue(exponential(rho), 1.0)
+            q = MapMap1Queue(exponential(rho), exponential(1.0))
             en = q.mean_queue_length
         assert time.perf_counter() - t0 < 1.0
         assert en == pytest.approx(rho / (1 - rho), rel=1e-6)

@@ -1,10 +1,11 @@
-"""Tests for the matrix-geometric QBD solver and the MAP/M/1 queue."""
+"""Tests for the matrix-geometric QBD solver and the MAP/M/1 queue
+(``MapMap1Queue`` with exponential service)."""
 
 import numpy as np
 import pytest
 
 from repro.maps import exponential, fit_map2, mmpp2
-from repro.qbd import MapM1Queue, solve_qbd, solve_r_matrix
+from repro.qbd import MapMap1Queue, solve_qbd, solve_r_matrix
 from repro.utils.errors import SolverError, ValidationError
 
 
@@ -61,7 +62,7 @@ class TestAgainstTruncatedCTMC:
         from repro.markov import steady_state_ctmc
         import scipy.sparse as sp
 
-        q = MapM1Queue(arrivals, mu)
+        q = MapMap1Queue(arrivals, exponential(mu))
         L = 400  # truncation deep enough for these loads
         K = arrivals.order
         D0, D1 = arrivals.D0, arrivals.D1
@@ -96,7 +97,7 @@ class TestAgainstTruncatedCTMC:
 class TestMapM1Metrics:
     def test_poisson_arrivals_reduce_to_mm1(self):
         lam, mu = 0.8, 1.0
-        q = MapM1Queue(exponential(lam), mu)
+        q = MapMap1Queue(exponential(lam), exponential(mu))
         rho = lam / mu
         dist = q.queue_length_distribution(10)
         expected = (1 - rho) * rho ** np.arange(11)
@@ -105,11 +106,11 @@ class TestMapM1Metrics:
         assert q.caudal_characteristic() == pytest.approx(rho, abs=1e-9)
 
     def test_utilization_equals_offered_load(self):
-        q = MapM1Queue(fit_map2(1.0, 16.0, 0.5), 1.4)
+        q = MapMap1Queue(fit_map2(1.0, 16.0, 0.5), exponential(1.4))
         assert q.utilization == pytest.approx(q.offered_load, abs=1e-9)
 
     def test_littles_law(self):
-        q = MapM1Queue(mmpp2(0.3, 0.2, 1.0, 0.2), 1.2)
+        q = MapMap1Queue(mmpp2(0.3, 0.2, 1.0, 0.2), exponential(1.2))
         assert q.mean_response_time * q.arrivals.rate == pytest.approx(
             q.mean_queue_length, rel=1e-10
         )
@@ -117,26 +118,26 @@ class TestMapM1Metrics:
     def test_burstiness_inflates_queue(self):
         """Same arrival rate, same server: correlated arrivals queue more."""
         mu = 1.25
-        poisson = MapM1Queue(exponential(1.0), mu)
-        bursty = MapM1Queue(fit_map2(1.0, 16.0, 0.5), mu)
+        poisson = MapMap1Queue(exponential(1.0), exponential(mu))
+        bursty = MapMap1Queue(fit_map2(1.0, 16.0, 0.5), exponential(mu))
         assert bursty.mean_queue_length > 3.0 * poisson.mean_queue_length
         assert bursty.caudal_characteristic() > poisson.caudal_characteristic()
 
     def test_gamma2_alone_inflates_queue(self):
         """Fix the marginal (mean + SCV); raise only the ACF decay rate."""
         mu = 1.25
-        weak = MapM1Queue(fit_map2(1.0, 9.0, 0.1), mu)
-        strong = MapM1Queue(fit_map2(1.0, 9.0, 0.8), mu)
+        weak = MapMap1Queue(fit_map2(1.0, 9.0, 0.1), exponential(mu))
+        strong = MapMap1Queue(fit_map2(1.0, 9.0, 0.8), exponential(mu))
         assert strong.mean_queue_length > weak.mean_queue_length
 
     def test_unstable_raises(self):
-        q = MapM1Queue(exponential(2.0), 1.0)
+        q = MapMap1Queue(exponential(2.0), exponential(1.0))
         assert not q.is_stable
         with pytest.raises(ValidationError):
             _ = q.solution
 
     def test_tail_probability_consistency(self):
-        q = MapM1Queue(fit_map2(1.0, 4.0, 0.3), 1.5)
+        q = MapMap1Queue(fit_map2(1.0, 4.0, 0.3), exponential(1.5))
         dist = q.queue_length_distribution(200)
         for n in (1, 3, 10):
             assert q.tail_probability(n) == pytest.approx(
@@ -145,4 +146,4 @@ class TestMapM1Metrics:
 
     def test_rejects_bad_service_rate(self):
         with pytest.raises(ValidationError):
-            MapM1Queue(exponential(1.0), 0.0)
+            MapMap1Queue(exponential(1.0), exponential(0.0))

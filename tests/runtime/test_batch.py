@@ -11,7 +11,7 @@ import repro.obs as obs
 from repro.core import solve_bounds
 from repro.core.lpbackend import highs_available
 from repro.maps import exponential, fit_map2
-from repro.network import ClosedNetwork, queue
+from repro.network import Network, queue
 from repro.runtime import batch
 from repro.runtime.batch import BatchLPSolver, expand_metric_specs
 from repro.scenarios import get_scenario
@@ -20,7 +20,7 @@ from repro.utils.errors import SolverError
 
 @pytest.fixture(scope="module")
 def net():
-    return ClosedNetwork(
+    return Network(
         [queue("a", fit_map2(1.0, 4.0, 0.4)), queue("b", exponential(1.4))],
         np.array([[0.0, 1.0], [1.0, 0.0]]),
         4,
@@ -93,8 +93,7 @@ class TestBatchBounds:
         want = solver.bound_specs(("throughput[0]",))["throughput[0]"]
         metric, _ = solver._dense_for("throughput[0]", 0)
         assert solver.bound(metric) == want  # the same pair function
-        assert solver.optimize(metric, "min") == want.lower  # cold, like the pair's min
-        assert (solver.n_solves, solver.n_basis_reuse) == (5, 2 * (solver.backend == "highs"))
+        assert (solver.n_solves, solver.n_basis_reuse) == (4, 2 * (solver.backend == "highs"))
 
     def test_triples_flag_tightens(self, net):
         wide = BatchLPSolver(net, triples=False).bound_specs(("system_throughput",))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.maps import exponential, fit_map2
-from repro.network import ClosedNetwork, queue
+from repro.network import Network, queue
 from repro.runtime import (
     FingerprintError,
     ResultCache,
@@ -22,7 +22,7 @@ ROUTING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def tandem(N=4, scv=4.0):
-    return ClosedNetwork(
+    return Network(
         [queue("a", fit_map2(1.0, scv, 0.4)), queue("b", exponential(1.4))],
         ROUTING,
         N,
@@ -76,9 +76,9 @@ class TestCrossProcessStability:
             """
             import numpy as np
             from repro.maps import exponential, fit_map2
-            from repro.network import ClosedNetwork, queue
+            from repro.network import Network, queue
             from repro.runtime import fingerprint_solve
-            net = ClosedNetwork(
+            net = Network(
                 [queue("a", fit_map2(1.0, 4.0, 0.4)), queue("b", exponential(1.4))],
                 np.array([[0.0, 1.0], [1.0, 0.0]]),
                 4,

@@ -125,10 +125,11 @@ class TestAcceptanceCriterion:
         assert res.system_throughput.midpoint == pytest.approx(1.0)
 
     def test_qbd_first_station_is_exact_mapm1(self, registry, open_net):
-        from repro.qbd import MapM1Queue
+        from repro.maps import exponential
+        from repro.qbd import MapMap1Queue
 
         res = registry.solve(open_net, "qbd")
-        oracle = MapM1Queue(open_net.arrivals, mu=1.0 / 0.7)
+        oracle = MapMap1Queue(open_net.arrivals, exponential(1.0 / 0.7))
         assert res.queue_length[0].midpoint == pytest.approx(
             oracle.mean_queue_length, rel=1e-9
         )
@@ -144,6 +145,12 @@ class TestOpenCaching:
         assert replay.from_cache
         assert replay.population is None
         assert replay.to_dict() == dict(first.to_dict())
+        # a fresh registry has only the disk tier to replay from
+        fresh = SolverRegistry(cache=ResultCache(directory=tmp_path))
+        from_disk = fresh.solve(open_net, "qbd")
+        assert from_disk.from_cache and from_disk.extra["cache_tier"] == "disk"
+        assert from_disk.population is None
+        assert from_disk.to_dict() == dict(first.to_dict())
 
     def test_payload_round_trip_preserves_none_population(self, registry, open_net):
         res = registry.solve(open_net, "qbd")

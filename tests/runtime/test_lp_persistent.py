@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.core.lpbackend import highs_available
 from repro.maps import exponential, fit_map2
-from repro.network import ClosedNetwork, queue
+from repro.network import Network, queue
 from repro.runtime import SolverRegistry, batch
 from repro.runtime.sweep import SweepRunner
 
@@ -30,7 +30,7 @@ PAIRS = len(METRICS) - 1
 
 @pytest.fixture()
 def base_net():
-    return ClosedNetwork(
+    return Network(
         [queue("a", fit_map2(1.0, 4.0, 0.4)), queue("b", exponential(1.4))],
         np.array([[0.0, 1.0], [1.0, 0.0]]),
         POPULATIONS[0],

@@ -6,7 +6,7 @@ import pytest
 from repro.baselines import mva
 from repro.core import solve_bounds
 from repro.maps import exponential, fit_map2
-from repro.network import ClosedNetwork, queue, solve_exact
+from repro.network import Network, queue, solve_exact
 from repro.runtime import ResultCache, SolveResult, SolverRegistry
 
 ROUTING = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -15,7 +15,7 @@ ROUTING = np.array([[0.0, 1.0], [1.0, 0.0]])
 @pytest.fixture()
 def bursty_tandem():
     """MAP(2) source feeding an exponential bottleneck (qbd-compatible)."""
-    return ClosedNetwork(
+    return Network(
         [queue("src", fit_map2(1.0, 9.0, 0.5)), queue("srv", exponential(1.3))],
         ROUTING,
         5,
@@ -24,7 +24,7 @@ def bursty_tandem():
 
 @pytest.fixture()
 def exp_tandem():
-    return ClosedNetwork(
+    return Network(
         [queue("a", exponential(2.0)), queue("b", exponential(1.2))],
         ROUTING,
         5,
@@ -189,7 +189,7 @@ class TestPartialMetrics:
 
 class TestQbdAdapter:
     def test_requires_two_stations(self, registry):
-        net = ClosedNetwork(
+        net = Network(
             [queue(f"q{i}", exponential(1.0 + i)) for i in range(3)],
             np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
             4,
@@ -201,7 +201,7 @@ class TestQbdAdapter:
 
     def test_tracks_exact_in_saturated_regime(self, registry):
         arrivals = fit_map2(1.0, 9.0, 0.5)
-        net = ClosedNetwork(
+        net = Network(
             [queue("src", arrivals), queue("srv", exponential(1.3))],
             ROUTING,
             80,

@@ -7,7 +7,7 @@ import pytest
 
 from repro import obs
 from repro.maps import exponential, fit_map2
-from repro.network import ClosedNetwork, queue
+from repro.network import Network, queue
 from repro.runtime import SweepRunner, derive_seed
 
 ROUTING = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -16,7 +16,7 @@ POPULATIONS = (2, 3, 4, 5)
 
 @pytest.fixture()
 def net():
-    return ClosedNetwork(
+    return Network(
         [queue("a", fit_map2(1.0, 4.0, 0.4)), queue("b", exponential(1.4))],
         ROUTING,
         POPULATIONS[0],

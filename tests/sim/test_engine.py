@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.maps import exponential, fit_map2, mmpp2
-from repro.network import ClosedNetwork, delay, multiserver, queue, solve_exact
+from repro.network import Network, delay, multiserver, queue, solve_exact
 from repro.sim import FlowTap, replicate, simulate
 
 
 @pytest.fixture(scope="module")
 def map_network():
     routing = np.array([[0.2, 0.7, 0.1], [1.0, 0, 0], [1.0, 0, 0]])
-    return ClosedNetwork(
+    return Network(
         [
             queue("q1", exponential(2.0)),
             queue("q2", exponential(3.0)),
@@ -58,7 +58,7 @@ class TestAgreementWithExact:
 
     def test_delay_station_network(self):
         routing = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [delay("think", exponential(0.5)), queue("cpu", exponential(2.0))],
             routing,
             5,
@@ -72,7 +72,7 @@ class TestAgreementWithExact:
 
     def test_multiserver_network(self):
         routing = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [
                 delay("src", exponential(1.0)),
                 multiserver("srv", exponential(0.7), servers=2),

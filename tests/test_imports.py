@@ -118,3 +118,22 @@ def test_process_caches_have_one_owner():
             if name in CACHE_OWNERS and CACHE_OWNERS[name] != owner:
                 strays.append(f"{owner}:{node.lineno} constructs {name}")
     assert strays == [], f"process caches built outside their owner: {strays}"
+
+
+def test_one_module_solves_lp_bounds():
+    """Only ``runtime/batch.py`` builds an LP engine in ``src/repro``: every
+    bound is solved by ``BatchLPSolver``'s pairs, so whatever holds for its
+    solves (start bases, counters, spans) holds for every bound."""
+    package = ROOT / "src" / "repro"
+    strays = []
+    for path in sorted(package.rglob("*.py")):
+        owner = path.relative_to(package).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "make_lp_engine" and owner != "runtime/batch.py":
+                strays.append(f"{owner}:{node.lineno}")
+    assert strays == [], f"LP engines built outside runtime/batch.py: {strays}"

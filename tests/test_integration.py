@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from repro.baselines import aba_bounds, mva
 from repro.core import solve_bounds, verify_exactness
 from repro.maps import exponential, fit_map2, random_map2
-from repro.network import ClosedNetwork, queue, solve_exact
-from repro.qbd import MapM1Queue
+from repro.network import Network, queue, solve_exact
+from repro.qbd import MapMap1Queue
 from repro.sim import simulate
 
 
@@ -37,7 +37,7 @@ def small_networks(draw):
     while True:
         P = rng.dirichlet(np.ones(m_stations) * 0.9, size=m_stations)
         try:
-            return ClosedNetwork(stations, P, population)
+            return Network(stations, P, population)
         except Exception:
             continue
 
@@ -73,7 +73,7 @@ class TestFourWayAgreement:
     @pytest.fixture(scope="class")
     def net(self):
         routing = np.array([[0.1, 0.5, 0.4], [1.0, 0, 0], [1.0, 0, 0]])
-        return ClosedNetwork(
+        return Network(
             [
                 queue("a", exponential(2.0)),
                 queue("b", exponential(1.5)),
@@ -114,11 +114,11 @@ class TestQbdLimit:
     def test_bursty_queue_vs_mapm1_direction(self):
         # Open-queue reference: bursty arrivals into an exponential server.
         arrivals = fit_map2(1.0, 9.0, 0.5)
-        open_q = MapM1Queue(arrivals, mu=1.3)
+        open_q = MapMap1Queue(arrivals, exponential(1.3))
         # Closed surrogate: the same bursty process as the *service* of a
         # saturated upstream station feeding the exponential server.
         routing = np.array([[0.0, 1.0], [1.0, 0.0]])
-        net = ClosedNetwork(
+        net = Network(
             [queue("src", arrivals), queue("srv", exponential(1.3))],
             routing,
             40,

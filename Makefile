@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint docs docs-serve bench bench-large bench-transient bench-fluid bench-fluid-large bench-kron bench-kron-large smoke-transient smoke-obs smoke-kron smoke-fluid clean
+.PHONY: test lint docs docs-serve bench bench-large bench-transient bench-fluid bench-fluid-large bench-kron bench-kron-large smoke-kron clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -67,19 +67,6 @@ bench-kron:
 bench-kron-large:
 	REPRO_BENCH_PRESET=large $(PYTHON) -m pytest benchmarks/test_bench_kron.py -q
 
-# End-to-end smoke of the transient subsystem: catalog scenario ->
-# transient solve -> disk-cache replay -> t->inf vs exact -> analytic
-# trajectory vs ensemble-averaged simulation (<= 5%).
-smoke-transient:
-	$(PYTHON) benchmarks/smoke_transient.py
-
-# End-to-end smoke of the observability layer: catalog scenario solved
-# through the CLI with --profile --trace-out, JSONL trace validated
-# against the schema, required spans + matvec/cache-hit counters
-# asserted cold and warm (see docs/observability.md).
-smoke-obs:
-	$(PYTHON) benchmarks/smoke_obs.py
-
 # End-to-end smoke of the matrix-free Kronecker backend: a catalog-scale
 # ring past the dense storage wall solved exactly (Krylov) and
 # transiently with build_generator tripwired, disk-cache replay under
@@ -87,13 +74,6 @@ smoke-obs:
 # several minutes (two 2.1M-unknown Krylov solves on one core).
 smoke-kron:
 	$(PYTHON) benchmarks/smoke_kron.py
-
-# End-to-end smoke of the fluid tier: million-user steady solve with a
-# disk-cache replay, N = 1 exactness vs the CTMC solver (<= 1e-3),
-# monotone doubling-population convergence, and a <= 5% simulation
-# cross-check deep in saturation.
-smoke-fluid:
-	$(PYTHON) benchmarks/smoke_fluid.py
 
 clean:
 	rm -rf site .repro-cache .pytest_cache

@@ -3,7 +3,7 @@
 
 Drives the ISSUE-7 pipeline at a catalog-scale model *past* the dense
 CTMC storage wall — ``kron-ring`` at ``(M=6, N=18)``, 2,153,536 joint
-states, above the 2,000,000-state ``max_states`` guard — and proves that
+states, above the 2,000,000-state ``DENSE_MAX_STATES`` guard — and proves that
 
 1. the dense backend still *refuses* the model (the wall is real);
 2. ``backend="auto"`` reroutes the registry ``exact`` solve through the
@@ -38,7 +38,6 @@ if SRC.is_dir() and str(SRC) not in sys.path:  # run from a source checkout
 SCENARIO = "kron-ring"
 N_STATIONS = 6
 POPULATION = 18
-DENSE_WALL = 2_000_000
 TIMES = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0)
 GAP_LIMIT = 0.05
 #: The gate is a max over all (time, station) cells, so the ensemble has
@@ -75,7 +74,11 @@ def main() -> int:
     tmp = tempfile.mkdtemp(prefix="repro-smoke-kron-")
     os.environ["REPRO_CACHE_DIR"] = os.path.join(tmp, "cache")
 
-    from repro.network.exact import expected_state_count, solve_exact
+    from repro.network.exact import (
+        DENSE_MAX_STATES,
+        expected_state_count,
+        solve_exact,
+    )
     from repro.runtime import SolverRegistry
     from repro.runtime.cache import ResultCache
     from repro.scenarios import get_scenario
@@ -86,8 +89,8 @@ def main() -> int:
     )
     expected = expected_state_count(net)
     print(f"  {SCENARIO} (M={N_STATIONS}, N={POPULATION}): "
-          f"{expected:,} joint states (wall: {DENSE_WALL:,})")
-    if expected <= DENSE_WALL:
+          f"{expected:,} joint states (wall: {DENSE_MAX_STATES:,})")
+    if expected <= DENSE_MAX_STATES:
         print("FAIL: smoke model does not cross the storage wall",
               file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ import pytest
 
 from bench_reporting import bench_preset
 from repro import obs
-from repro.network.exact import expected_state_count
+from repro.network.exact import DENSE_MAX_STATES, expected_state_count
 from repro.network.kron import kronecker_generator
 from repro.network.statespace import NetworkStateSpace
 from repro.obs.sentinel import KRON_MEMORY_WIN_GATE
@@ -37,7 +37,6 @@ from repro.scenarios import get_scenario
 #: stays materializable for CI; large crosses the dense storage wall.
 _SHAPE = {"quick": (5, 6), "large": (6, 18)}
 
-DENSE_WALL = 2_000_000
 TIMES = (0.0, 0.4, 0.8, 1.2, 1.6, 2.0)
 
 #: CSR storage model: float64 data + int32 indices per entry, int32 indptr.
@@ -113,7 +112,7 @@ def test_registry_solves_on_operator_backend(network, kron_perf_report,
     answers land without assembling ``Q``.
     """
     expected = expected_state_count(network)
-    past_wall = expected > DENSE_WALL
+    past_wall = expected > DENSE_MAX_STATES
     if bench_preset() == "large":
         assert past_wall, "large preset must cross the dense storage wall"
     backend = "auto" if past_wall else "operator"

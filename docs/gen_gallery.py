@@ -54,6 +54,14 @@ Solve any of them with:
 python -m repro.scenarios solve <name> --method lp
 ```
 
+A scenario family is a Python function of the population: some wrap the
+workload models of `repro.workloads`, others (`fig5-case-study`,
+`stress-large-population`) declare the network with the fluent
+`NetworkBuilder`, whose `build()` writes a spec and compiles it with
+`network_from_spec` — the same compiler a YAML document goes through
+(open-chain pseudo-nodes take the reserved `source`/`sink` names; see
+the [spec format](spec-format.md)).
+
 """
 
 

@@ -39,12 +39,18 @@ if TYPE_CHECKING:
     from repro.markov.kronop import KroneckerGenerator
 
 __all__ = [
+    "DENSE_MAX_STATES",
     "OPERATOR_MAX_STATES",
     "build_generator",
     "generator_for",
     "solve_exact",
     "ExactSolution",
 ]
+
+#: Default ``max_states`` guard of the dense backend: past this many states
+#: the sparse generator and its LU no longer fit in memory, and
+#: ``backend="auto"`` switches to the matrix-free operator.
+DENSE_MAX_STATES = 2_000_000
 
 #: Guard rail of the matrix-free backend.  The operator path never stores
 #: ``Q``, but the solve still holds O(10) state-length vectors plus the
@@ -336,7 +342,7 @@ def generator_for(
 def solve_exact(
     network: Network,
     method: str = "auto",
-    max_states: int = 2_000_000,
+    max_states: int = DENSE_MAX_STATES,
     backend: str = "dense",
 ) -> ExactSolution:
     """Solve the network's CTMC exactly.

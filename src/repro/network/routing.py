@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 #: Probability below which an edge/entry is treated as absent in
-#: reachability analyses (shared by model, spec, and builder validation).
+#: reachability analyses (shared by model and spec validation).
 EDGE_TOL = 1e-15
 
 
@@ -50,9 +50,9 @@ def open_reachable_stations(P: np.ndarray, entry: np.ndarray) -> "set[int]":
     """Stations reachable from the external source over an open routing.
 
     The single source of truth for "which stations can the open chain
-    visit": :func:`validate_open_routing`, the spec compiler's
-    declared-row check, and the builder's explicit-sink check all build on
-    this, so the no-silent-leak invariant lives in one place.
+    visit": :func:`validate_open_routing` and the spec compiler's
+    declared-row check (which builder-made networks go through too) build
+    on this, so the no-silent-leak invariant lives in one place.
 
     Parameters
     ----------

@@ -2,8 +2,7 @@
 
 ``python -m repro.obs <command>``:
 
-* ``report`` / ``validate`` — render / schema-check a JSONL trace file
-  (the checks ``make smoke-obs`` relies on).
+* ``report`` / ``validate`` — render / schema-check a JSONL trace file.
 * ``sentinel baseline [ARTIFACT ...]`` — the per-benchmark invariant
   gates over ``BENCH_*.json`` artifacts (default: every one in the
   working directory; see :mod:`repro.obs.sentinel`).  Exits 1 when a

@@ -178,18 +178,36 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-def _flight_jsonable(value):
+def _jsonable(value):
     """Coerce a span attribute to a JSON-serializable scalar/container."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (list, tuple)):
-        return [_flight_jsonable(v) for v in value]
+        return [_jsonable(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _flight_jsonable(v) for k, v in value.items()}
+        return {str(k): _jsonable(v) for k, v in value.items()}
     try:  # numpy scalars
         return value.item()
     except AttributeError:
         return str(value)
+
+
+def span_record(sp: "Span") -> dict:
+    """A finished span's fields in the trace schema (ids not included).
+
+    The one span layout: trace export (:func:`repro.obs.trace.span_records`)
+    and the :class:`FlightRecorder` ring both build their records here.
+    """
+    return {
+        "name": sp.name,
+        "start_s": sp.start_s,
+        "end_s": sp.end_s,
+        "duration_s": sp.duration_s,
+        "attributes": {k: _jsonable(v) for k, v in sp.attributes.items()},
+        "counters": dict(sp.counters),
+        "status": sp.status,
+        "error": sp.error,
+    }
 
 
 class FlightRecorder:
@@ -231,19 +249,8 @@ class FlightRecorder:
 
     # ------------------------------------------------------------------ #
     def record_span(self, sp: "Span") -> None:
-        """Append one finished span's compact record to the ring."""
-        record = {
-            "name": sp.name,
-            "start_s": sp.start_s,
-            "end_s": sp.end_s,
-            "duration_s": sp.duration_s,
-            "status": sp.status,
-            "error": sp.error,
-            "attributes": {
-                k: _flight_jsonable(v) for k, v in sp.attributes.items()
-            },
-            "counters": dict(sp.counters),
-        }
+        """Append one finished span's record to the ring."""
+        record = span_record(sp)
         with self._lock:
             self._ring.append(record)
 
@@ -278,7 +285,7 @@ class FlightRecorder:
         ``validate`` read it like any ``--trace-out`` file.  ``error``
         annotates the header with the exception that triggered the dump.
         """
-        from repro.obs.trace import TRACE_SCHEMA_VERSION  # lazy: no cycle
+        from repro.obs.trace import span_line, write_trace  # lazy: no cycle
 
         if path is None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -287,34 +294,12 @@ class FlightRecorder:
             )
         path = Path(path)
         with self._lock:
-            spans = [dict(r) for r in self._ring]
+            spans = [span_line(r, i, None) for i, r in enumerate(self._ring, start=1)]
             counters = dict(self._counters)
-        records: list[dict] = [{
-            "type": "header",
-            "schema": TRACE_SCHEMA_VERSION,
-            "tool": "repro.obs.flight",
-            "error": None if error is None else (
-                f"{type(error).__name__}: {error}"
-            ),
-        }]
-        for i, rec in enumerate(spans, start=1):
-            records.append({
-                "type": "span",
-                "schema": TRACE_SCHEMA_VERSION,
-                "span_id": i,
-                "parent_id": None,
-                **rec,
-            })
-        records.append({
-            "type": "metrics",
-            "schema": TRACE_SCHEMA_VERSION,
-            "counters": counters,
-            "gauges": {},
-            "histograms": {},
-        })
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        write_trace(
+            path, "repro.obs.flight", spans, counters, {}, {},
+            error=None if error is None else f"{type(error).__name__}: {error}",
+        )
         return path
 
 

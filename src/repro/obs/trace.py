@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.core import Span, Telemetry
+from repro.obs.core import Span, Telemetry, span_record
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
@@ -28,6 +28,7 @@ __all__ = [
     "span_records",
     "spans_from_records",
     "validate_trace",
+    "write_trace",
 ]
 
 #: Current trace-file schema version (see module docstring for policy).
@@ -39,18 +40,16 @@ _SPAN_REQUIRED = (
 )
 
 
-def _jsonable(value):
-    """Coerce an attribute value to something ``json.dumps`` accepts."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    try:  # numpy scalars
-        return value.item()
-    except AttributeError:
-        return str(value)
+def span_line(body: dict, span_id: int, parent_id: "int | None") -> dict:
+    """One ``span`` record: a :func:`~repro.obs.core.span_record` body
+    stamped with the schema version and its ids."""
+    return {
+        "type": "span",
+        "schema": TRACE_SCHEMA_VERSION,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        **body,
+    }
 
 
 def span_records(roots: "list[Span]") -> "list[dict]":
@@ -61,25 +60,10 @@ def span_records(roots: "list[Span]") -> "list[dict]":
     diffable and the parallel-sweep merge deterministic.
     """
     records: list[dict] = []
-    counter = [0]
 
     def visit(sp: Span, parent_id: "int | None") -> None:
-        counter[0] += 1
-        sid = counter[0]
-        records.append({
-            "type": "span",
-            "schema": TRACE_SCHEMA_VERSION,
-            "span_id": sid,
-            "parent_id": parent_id,
-            "name": sp.name,
-            "start_s": sp.start_s,
-            "end_s": sp.end_s,
-            "duration_s": sp.duration_s,
-            "attributes": {k: _jsonable(v) for k, v in sp.attributes.items()},
-            "counters": dict(sp.counters),
-            "status": sp.status,
-            "error": sp.error,
-        })
+        sid = len(records) + 1
+        records.append(span_line(span_record(sp), sid, parent_id))
         for child in sp.children:
             visit(child, sid)
 
@@ -118,6 +102,33 @@ def spans_from_records(records: "list[dict]") -> "list[Span]":
     return roots
 
 
+def write_trace(
+    path, tool: str, spans: "list[dict]", counters: dict, gauges: dict,
+    histograms: dict, **header,
+) -> int:
+    """Write one JSONL trace file; returns the record count.
+
+    The one trace writer (export and flight dumps): a header record
+    naming ``tool`` (plus any extra ``header`` fields), the ``span``
+    records as given, then the metrics record.
+    """
+    records = [
+        {"type": "header", "schema": TRACE_SCHEMA_VERSION, "tool": tool, **header},
+        *spans,
+        {
+            "type": "metrics",
+            "schema": TRACE_SCHEMA_VERSION,
+            "counters": counters,
+            "gauges": gauges,
+            "histograms": histograms,
+        },
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    return len(records)
+
+
 def export_jsonl(telemetry: Telemetry, path) -> int:
     """Write the telemetry's trace to ``path``; returns the record count.
 
@@ -125,25 +136,10 @@ def export_jsonl(telemetry: Telemetry, path) -> int:
     final metrics snapshot.
     """
     snap = telemetry.snapshot()
-    records = [
-        {
-            "type": "header",
-            "schema": TRACE_SCHEMA_VERSION,
-            "tool": "repro.obs",
-        },
-        *span_records(telemetry.roots),
-        {
-            "type": "metrics",
-            "schema": TRACE_SCHEMA_VERSION,
-            "counters": snap.counters,
-            "gauges": snap.gauges,
-            "histograms": snap.histograms,
-        },
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    return len(records)
+    return write_trace(
+        path, "repro.obs", span_records(telemetry.roots),
+        snap.counters, snap.gauges, snap.histograms,
+    )
 
 
 def load_trace(path) -> "list[dict]":

@@ -37,7 +37,7 @@ from repro.baselines.bjb import bjb_bounds
 from repro.baselines.decomposition import decomposition
 from repro.baselines.mva import mva
 from repro.core.bounds import Interval
-from repro.network.exact import solve_exact
+from repro.network.exact import DENSE_MAX_STATES, solve_exact
 from repro.network.model import Network, require_closed
 from repro.qbd.mapmap1 import MapMap1Queue
 from repro.qbd.opennet import solve_open_network
@@ -271,7 +271,7 @@ def _solve_exact(
     network: Network,
     reference: int = 0,
     ctmc_method: str = "auto",
-    max_states: int = 2_000_000,
+    max_states: int = DENSE_MAX_STATES,
     backend: str = "auto",
 ) -> SolveResult:
     """``backend="auto"`` goes matrix-free past the ``max_states`` guard.
@@ -507,9 +507,12 @@ def _solve_aba(network: Network, reference: int = 0) -> SolveResult:
         else:
             lo, hi = b.utilization_bounds(float(demands[k]))
             util.append(Interval(lower=lo, upper=hi))
-    x = Interval(lower=b.throughput_lower, upper=b.throughput_upper)
     v = network.visit_ratios
-    thr = [Interval(lower=x.lower * v[k], upper=x.upper * v[k]) for k in range(M)]
+    thr = [
+        Interval(lower=b.throughput_lower * v[k], upper=b.throughput_upper * v[k])
+        for k in range(M)
+    ]
+    x = thr[reference]
     qlen = [Interval(lower=0.0, upper=float(N))] * M
     return _make_result(
         network,
@@ -535,16 +538,19 @@ def _solve_bjb(network: Network, reference: int = 0) -> SolveResult:
     M = network.n_stations
     N = network.population
     demands = network.service_demands
-    x = Interval(lower=b.throughput_lower, upper=b.throughput_upper)
     v = network.visit_ratios
     util = [
         Interval(
-            lower=min(1.0, x.lower * float(demands[k])),
-            upper=min(1.0, x.upper * float(demands[k])),
+            lower=min(1.0, b.throughput_lower * float(demands[k])),
+            upper=min(1.0, b.throughput_upper * float(demands[k])),
         )
         for k in range(M)
     ]
-    thr = [Interval(lower=x.lower * v[k], upper=x.upper * v[k]) for k in range(M)]
+    thr = [
+        Interval(lower=b.throughput_lower * v[k], upper=b.throughput_upper * v[k])
+        for k in range(M)
+    ]
+    x = thr[reference]
     qlen = [Interval(lower=0.0, upper=float(N))] * M
     return _make_result(
         network,
@@ -553,7 +559,7 @@ def _solve_bjb(network: Network, reference: int = 0) -> SolveResult:
         thr,
         qlen,
         x,
-        Interval(lower=b.response_lower, upper=b.response_upper),
+        Interval(lower=N / x.upper, upper=N / x.lower),
         extra={"certified": True, "first_moment_only": True},
     )
 
@@ -562,7 +568,7 @@ def _solve_decomposition(network: Network, reference: int = 0) -> SolveResult:
     require_closed(network, "decomposition")
     res = decomposition(network)
     M = network.n_stations
-    x = float(res.system_throughput)
+    x = float(res.system_throughput) * float(network.visit_ratios[reference])
     return _make_result(
         network,
         "decomposition",

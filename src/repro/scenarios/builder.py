@@ -1,11 +1,13 @@
 """Fluent construction of MAP queueing networks of any kind.
 
-:class:`NetworkBuilder` is the programmatic twin of the declarative spec
-format (:mod:`repro.scenarios.spec`): stations are declared by name with
+:class:`NetworkBuilder` is the programmatic front end of the declarative
+spec format (:mod:`repro.scenarios.spec`): stations are declared by name with
 either a ready :class:`~repro.maps.map.MAP`, a distribution spec dict, or
 plain ``mean=``/``rate=`` shorthand for exponential service; routing is
-declared edge-by-edge (or as a cycle) by station *name*, and ``build()``
-assembles and validates the :class:`~repro.network.model.Network`.
+declared edge-by-edge (or as a cycle) by station *name*.  ``build()`` writes
+the declarations as a spec and compiles it with
+:func:`~repro.scenarios.spec.network_from_spec`, so builder and spec
+documents share one compiler and one set of validation rules.
 
 .. code-block:: python
 
@@ -23,9 +25,9 @@ assembles and validates the :class:`~repro.network.model.Network`.
 
 Open networks declare an external :meth:`~NetworkBuilder.source` and a
 :meth:`~NetworkBuilder.sink` as pseudo-nodes in the same link language —
-they never become stations; ``build()`` folds them into the
-:class:`~repro.network.population.OpenArrivals` descriptor and the
-substochastic routing matrix:
+they never become stations.  Whatever they are called here, they take the
+spec's reserved ``source``/``sink`` names in the compiled spec, so no
+station of an open or mixed network may be named ``source`` or ``sink``:
 
 .. code-block:: python
 
@@ -49,21 +51,21 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-import numpy as np
-
-from repro.maps.builders import exponential
 from repro.maps.map import MAP
 from repro.network.model import Network
-from repro.network.population import Closed, Mixed, OpenArrivals
-from repro.network.stations import Station
-from repro.scenarios.spec import service_from_spec
+from repro.scenarios.spec import (
+    SINK_NAME,
+    SOURCE_NAME,
+    network_from_spec,
+    service_from_spec,
+)
 from repro.utils.errors import ValidationError
 
 __all__ = ["NetworkBuilder"]
 
 
 class NetworkBuilder:
-    """Incrementally declare a closed network, then ``build()`` it.
+    """Incrementally declare a network, then ``build()`` it.
 
     Parameters
     ----------
@@ -81,12 +83,11 @@ class NetworkBuilder:
 
     def __init__(self, population: int | None = None) -> None:
         self._population = population
-        self._stations: list[Station] = []
-        self._names: dict[str, int] = {}
+        self._stations: list[dict[str, Any]] = []
         self._links: dict[tuple[str, str], float] = {}
         self._open_links: dict[tuple[str, str], float] = {}
         self._source_name: str | None = None
-        self._source_map: MAP | None = None
+        self._arrivals: MAP | None = None
         self._sink_name: str | None = None
 
     # ------------------------------------------------------------------ #
@@ -106,26 +107,10 @@ class NetworkBuilder:
                 f"station {name!r}: give exactly one of service=, mean=, rate= "
                 f"(got {given})"
             )
-        if service is not None:
-            return service_from_spec(service)
-        if mean is not None:
-            if mean <= 0:
-                raise ValidationError(f"station {name!r}: mean must be positive")
-            return exponential(1.0 / mean)
-        return exponential(rate)
-
-    def _add(self, station: Station) -> "NetworkBuilder":
-        """Append a station, rejecting duplicate names."""
-        if station.name in self._names:
-            raise ValidationError(f"duplicate station name {station.name!r}")
-        if station.name in (self._source_name, self._sink_name):
-            raise ValidationError(
-                f"station name {station.name!r} collides with the declared "
-                "source/sink pseudo-node"
-            )
-        self._names[station.name] = len(self._stations)
-        self._stations.append(station)
-        return self
+        if service is None:
+            key, value = ("mean", mean) if mean is not None else ("rate", rate)
+            service = {"dist": "exponential", key: value}
+        return service_from_spec(service)
 
     def station(
         self,
@@ -159,7 +144,17 @@ class NetworkBuilder:
             ``self``, for chaining.
         """
         svc = self._service(name, service, mean, rate)
-        return self._add(Station(name=name, service=svc, kind=kind, servers=servers))
+        if name in self.station_names:
+            raise ValidationError(f"duplicate station name {name!r}")
+        if name in (self._source_name, self._sink_name):
+            raise ValidationError(
+                f"station name {name!r} collides with the declared "
+                "source/sink pseudo-node"
+            )
+        self._stations.append(
+            {"name": name, "kind": kind, "service": svc, "servers": servers}
+        )
+        return self
 
     def queue(
         self,
@@ -200,14 +195,15 @@ class NetworkBuilder:
     # ------------------------------------------------------------------ #
     def source(
         self,
-        name: str = "source",
+        name: str = SOURCE_NAME,
         service: "MAP | Mapping[str, Any] | None" = None,
         mean: float | None = None,
         rate: float | None = None,
     ) -> "NetworkBuilder":
         """Declare the external arrival source as a routable pseudo-node.
 
-        The source never becomes a station: :meth:`build` folds it into an
+        The source never becomes a station: :meth:`build` compiles it to
+        the spec's ``arrivals`` and ``source`` routing row, i.e. an
         :class:`~repro.network.population.OpenArrivals` descriptor whose
         entry distribution is read off the ``link(source, ...)`` edges.
         Declaring a source makes the built network open (or mixed, when a
@@ -231,18 +227,17 @@ class NetworkBuilder:
             raise ValidationError(
                 f"source already declared as {self._source_name!r}"
             )
-        if name in self._names or name == self._sink_name:
+        if name in self.station_names or name == self._sink_name:
             raise ValidationError(f"source name {name!r} is already in use")
-        self._source_map = self._service(name, service, mean, rate)
+        self._arrivals = self._service(name, service, mean, rate)
         self._source_name = name
         return self
 
-    def sink(self, name: str = "sink") -> "NetworkBuilder":
+    def sink(self, name: str = SINK_NAME) -> "NetworkBuilder":
         """Declare the exit sink as a routable pseudo-node.
 
-        Links *to* the sink carry the exit probabilities; :meth:`build`
-        folds them into the substochastic open routing matrix (each open
-        row must total 1 including its sink mass).
+        Links *to* the sink carry the exit probabilities; every open row
+        must total 1 including its sink mass (see :meth:`build`).
 
         Parameters
         ----------
@@ -256,7 +251,7 @@ class NetworkBuilder:
         """
         if self._sink_name is not None:
             raise ValidationError(f"sink already declared as {self._sink_name!r}")
-        if name in self._names or name == self._source_name:
+        if name in self.station_names or name == self._source_name:
             raise ValidationError(f"sink name {name!r} is already in use")
         self._sink_name = name
         return self
@@ -264,9 +259,28 @@ class NetworkBuilder:
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
-    def _is_pseudo(self, name: str) -> bool:
-        """True when ``name`` names the declared source or sink."""
-        return name in (self._source_name, self._sink_name)
+    def _edge(
+        self,
+        edges: "dict[tuple[str, str], float]",
+        verb: str,
+        src: str,
+        dst: str,
+        probability: float,
+    ) -> "NetworkBuilder":
+        """Add ``probability`` to the declared edge ``src -> dst``."""
+        if not 0.0 < probability <= 1.0:
+            raise ValidationError(
+                f"{verb} {src!r}->{dst!r}: probability must be in (0, 1], "
+                f"got {probability}"
+            )
+        if src == self._sink_name:
+            raise ValidationError(f"the sink {src!r} cannot be a link source")
+        if dst == self._source_name:
+            raise ValidationError(
+                f"the source {dst!r} cannot be a link destination"
+            )
+        edges[(src, dst)] = edges.get((src, dst), 0.0) + probability
+        return self
 
     def link(self, src: str, dst: str, probability: float = 1.0) -> "NetworkBuilder":
         """Route jobs completing at ``src`` to ``dst`` with the given probability.
@@ -289,22 +303,7 @@ class NetworkBuilder:
         NetworkBuilder
             ``self``, for chaining.
         """
-        if not 0.0 < probability <= 1.0:
-            raise ValidationError(
-                f"link {src!r}->{dst!r}: probability must be in (0, 1], "
-                f"got {probability}"
-            )
-        if src == self._sink_name:
-            raise ValidationError(f"the sink {src!r} cannot be a link source")
-        if dst == self._source_name:
-            raise ValidationError(
-                f"the source {dst!r} cannot be a link destination"
-            )
-        # Edges are partitioned into chains at build() time, once the
-        # pseudo-node names are final — so declaring a link before its
-        # source()/sink() does not silently change which chain it routes.
-        self._links[(src, dst)] = self._links.get((src, dst), 0.0) + probability
-        return self
+        return self._edge(self._links, "link", src, dst, probability)
 
     def open_link(
         self, src: str, dst: str, probability: float = 1.0
@@ -329,21 +328,7 @@ class NetworkBuilder:
         NetworkBuilder
             ``self``, for chaining.
         """
-        if not 0.0 < probability <= 1.0:
-            raise ValidationError(
-                f"open_link {src!r}->{dst!r}: probability must be in (0, 1], "
-                f"got {probability}"
-            )
-        if src == self._sink_name:
-            raise ValidationError(f"the sink {src!r} cannot be a link source")
-        if dst == self._source_name:
-            raise ValidationError(
-                f"the source {dst!r} cannot be a link destination"
-            )
-        self._open_links[(src, dst)] = (
-            self._open_links.get((src, dst), 0.0) + probability
-        )
-        return self
+        return self._edge(self._open_links, "open_link", src, dst, probability)
 
     def cycle(self, *names: str) -> "NetworkBuilder":
         """Route the named stations in a deterministic loop.
@@ -378,71 +363,16 @@ class NetworkBuilder:
     @property
     def station_names(self) -> tuple[str, ...]:
         """Names declared so far, in index order."""
-        return tuple(s.name for s in self._stations)
-
-    def _matrix_from(self, links: "dict[tuple[str, str], float]"):
-        """Assemble (P, entry, sink_mass) from an edge dict.
-
-        Source-outgoing edges become the entry vector; sink-incoming edges
-        the per-station sink masses; everything else fills ``P``.
-        """
-        M = len(self._stations)
-        P = np.zeros((M, M))
-        entry = np.zeros(M)
-        sink_mass = np.zeros(M)
-        for (src, dst), prob in links.items():
-            if src == self._source_name:
-                if dst not in self._names:
-                    raise ValidationError(
-                        f"link {src!r}->{dst!r} references undeclared "
-                        f"station {dst!r}; declared: {list(self._names)}"
-                    )
-                entry[self._names[dst]] += prob
-                continue
-            if src not in self._names:
-                raise ValidationError(
-                    f"link {src!r}->{dst!r} references undeclared station "
-                    f"{src!r}; declared: {list(self._names)}"
-                )
-            if dst == self._sink_name:
-                sink_mass[self._names[src]] += prob
-                continue
-            if dst not in self._names:
-                raise ValidationError(
-                    f"link {src!r}->{dst!r} references undeclared station "
-                    f"{dst!r}; declared: {list(self._names)}"
-                )
-            P[self._names[src], self._names[dst]] = prob
-        return P, entry, sink_mass
-
-    def _check_open_rows(self, P, entry, sink_mass) -> None:
-        """Every station the open chain can visit must route a full row.
-
-        Substochastic rows have implicit-exit semantics in the core model;
-        the builder (like the spec format) demands the sink mass be
-        declared explicitly, so a forgotten edge fails loudly instead of
-        silently leaking jobs to the sink.  Reachability comes from the
-        shared :func:`repro.network.routing.open_reachable_stations`.
-        """
-        from repro.network.routing import open_reachable_stations
-
-        seen = open_reachable_stations(np.asarray(P), entry)
-        names = self.station_names
-        for k in sorted(seen):
-            total = P[k].sum() + sink_mass[k]
-            if abs(total - 1.0) > 1e-9:
-                raise ValidationError(
-                    f"open routing out of station {names[k]!r} totals "
-                    f"{total:.6g}, must be 1 including the sink edge "
-                    f"(add link({names[k]!r}, {self._sink_name!r}, p))"
-                )
+        return tuple(s["name"] for s in self._stations)
 
     def build(self, population: int | None = None) -> Network:
-        """Assemble and validate the declared network.
+        """Write the declarations as a spec and compile it.
 
         The built kind follows the declarations: stations + population →
         closed; a :meth:`source` (and :meth:`sink`) without population →
-        open; both → mixed.
+        open; both → mixed.  Edges are sorted into chains here, once the
+        pseudo-node names are final, so declaring a link before its
+        ``source()``/``sink()`` never changes which chain it routes.
 
         Parameters
         ----------
@@ -452,41 +382,20 @@ class NetworkBuilder:
         Returns
         -------
         Network
-            The validated network.
+            ``network_from_spec(spec)`` of the declared spec.
 
         Raises
         ------
         ValidationError
-            On undeclared stations in links, missing population/source, or
-            any routing/model validation failure (e.g. rows not summing to
-            1, an unstable open chain).
+            On a missing population/source/sink, or any error of
+            :func:`~repro.scenarios.spec.network_from_spec` (undeclared
+            stations in links, rows not summing to 1, an open row without
+            its sink edge, an unstable open chain, ...).
         """
         N = population if population is not None else self._population
-        if not self._stations:
-            raise ValidationError("no stations declared")
-
-        # Partition link() edges now that the pseudo-node names are final:
-        # anything touching the source or sink routes the open chain,
-        # regardless of whether the pseudo-node was declared before or
-        # after the edge.
-        closed_edges: dict[tuple[str, str], float] = {}
-        open_edges = dict(self._open_links)
-        for (src, dst), prob in self._links.items():
-            if src == self._sink_name:
-                raise ValidationError(
-                    f"the sink {src!r} cannot be a link source"
-                )
-            if dst == self._source_name:
-                raise ValidationError(
-                    f"the source {dst!r} cannot be a link destination"
-                )
-            if self._is_pseudo(src) or self._is_pseudo(dst):
-                open_edges[(src, dst)] = open_edges.get((src, dst), 0.0) + prob
-            else:
-                closed_edges[(src, dst)] = prob
-
+        spec: dict[str, Any] = {"stations": self._stations}
         if self._source_name is None:
-            if self._sink_name is not None or open_edges:
+            if self._sink_name is not None or self._open_links:
                 raise ValidationError(
                     "sink/open links declared without a source(); declare "
                     "the external arrival source to build an open network"
@@ -497,32 +406,51 @@ class NetworkBuilder:
                     "or build(population=...), or declare a source() for an "
                     "open network"
                 )
-            P, _, _ = self._matrix_from(closed_edges)
-            return Network(self._stations, P, N)
-
+            spec.update(population=N, routing=self._rows(self._links.items(), {}))
+            return network_from_spec(spec)
         if self._sink_name is None:
             raise ValidationError(
                 "source() declared without a sink(); open chains must drain"
             )
 
+        pseudo = {self._source_name: SOURCE_NAME, self._sink_name: SINK_NAME}
+        # An open network routes every edge on its one chain; a mixed one
+        # routes station-to-station link() edges on the closed chain.
+        closed: list = []
+        opened = list(self._open_links.items())
+        for (src, dst), prob in self._links.items():
+            to_closed = N is not None and src not in pseudo and dst not in pseudo
+            (closed if to_closed else opened).append(((src, dst), prob))
+        spec["arrivals"] = self._arrivals
         if N is None:
-            # Pure open network: every declared edge routes the open chain.
-            for key, prob in closed_edges.items():
-                open_edges[key] = open_edges.get(key, 0.0) + prob
-            P, entry, sink_mass = self._matrix_from(open_edges)
-            self._check_open_rows(P, entry, sink_mass)
-            return Network(
-                self._stations, P, OpenArrivals(self._source_map, entry=entry)
+            spec["routing"] = self._rows(opened, pseudo)
+        else:
+            spec.update(
+                population=N,
+                routing=self._rows(closed, pseudo),
+                open_routing=self._rows(opened, pseudo),
             )
+        return network_from_spec(spec)
 
-        # Mixed: station-to-station link() edges route the closed chain;
-        # open_link() + source/sink edges route the open chain.
-        P, _, _ = self._matrix_from(closed_edges)
-        P_open, entry, sink_mass = self._matrix_from(open_edges)
-        self._check_open_rows(P_open, entry, sink_mass)
-        return Network(
-            self._stations,
-            P,
-            Mixed(Closed(int(N)), OpenArrivals(self._source_map, entry=entry)),
-            open_routing=P_open,
-        )
+    def _rows(self, edges, pseudo: "dict[str, str]") -> "dict[str, dict[str, float]]":
+        """Name-keyed spec routing rows of ``edges``, with the pseudo-nodes
+        renamed to the spec's reserved ``source``/``sink``."""
+        rows: dict[str, dict[str, float]] = {}
+        for (src, dst), prob in edges:
+            if pseudo:
+                src, dst = self._spec_name(src, pseudo), self._spec_name(dst, pseudo)
+            row = rows.setdefault(src, {})
+            row[dst] = row.get(dst, 0.0) + prob
+        return rows
+
+    def _spec_name(self, name: str, pseudo: "dict[str, str]") -> str:
+        """A link endpoint's name in the spec."""
+        if name in pseudo:
+            return pseudo[name]
+        if pseudo and name in (SOURCE_NAME, SINK_NAME):
+            raise ValidationError(
+                f"{name!r} is reserved in open and mixed networks; the "
+                f"pseudo-nodes here are {self._source_name!r} and "
+                f"{self._sink_name!r}"
+            )
+        return name

@@ -37,7 +37,10 @@ route through the reserved ``source``/``sink`` pseudo-stations (rows sum to
 Mixed networks carry both a ``population`` (routed by ``routing``) and an
 open chain (``arrivals`` + ``open_routing`` with source/sink rows).
 
-:func:`network_from_spec` compiles a spec to a validated network;
+:func:`network_from_spec` compiles a spec to a validated network; it is
+the scenarios layer's one compiler (the fluent
+:class:`~repro.scenarios.builder.NetworkBuilder` writes its declarations as
+a spec and compiles it here).
 :func:`network_to_spec` renders any network back to a spec (explicit
 ``D0``/``D1`` matrices for multi-phase MAPs, so the round trip is exact:
 ``fingerprint_network(network_from_spec(network_to_spec(net))) ==
@@ -48,7 +51,8 @@ has no extra dependency).
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 import numpy as np
 
@@ -77,6 +81,14 @@ def _require(mapping: Mapping, key: str, context: str) -> Any:
     if key not in mapping:
         raise ValidationError(f"{context}: missing required key {key!r}")
     return mapping[key]
+
+
+def _mean(spec: Mapping, context: str) -> float:
+    """Fetch a distribution's required ``mean``, which must be positive."""
+    mean = float(_require(spec, "mean", context))
+    if not mean > 0.0:
+        raise ValidationError(f"{context}: mean must be positive, got {mean}")
+    return mean
 
 
 def _yaml():
@@ -121,6 +133,8 @@ def service_from_spec(spec: "Mapping[str, Any] | MAP") -> MAP:
         ``map``
             Explicit ``D0``/``D1`` matrices.
 
+    Every ``mean`` must be positive.
+
     Returns
     -------
     MAP
@@ -137,12 +151,10 @@ def service_from_spec(spec: "Mapping[str, Any] | MAP") -> MAP:
     if dist == "exponential":
         if "rate" in spec:
             return builders.exponential(float(spec["rate"]))
-        return builders.exponential(1.0 / float(_require(spec, "mean", ctx)))
+        return builders.exponential(1.0 / _mean(spec, ctx))
     if dist == "erlang":
         k = int(_require(spec, "k", ctx))
-        rate = float(spec["rate"]) if "rate" in spec else k / float(
-            _require(spec, "mean", ctx)
-        )
+        rate = float(spec["rate"]) if "rate" in spec else k / _mean(spec, ctx)
         return builders.erlang(k, rate)
     if dist == "hyperexp":
         if "p" in spec or "rates" in spec:
@@ -152,16 +164,14 @@ def service_from_spec(spec: "Mapping[str, Any] | MAP") -> MAP:
         from repro.maps.fitting import fit_hyperexp_balanced
 
         p1, nu1, nu2 = fit_hyperexp_balanced(
-            float(_require(spec, "mean", ctx)), float(_require(spec, "scv", ctx))
+            _mean(spec, ctx), float(_require(spec, "scv", ctx))
         )
         return builders.hyperexponential([p1, 1.0 - p1], [nu1, nu2])
     if dist == "renewal":
-        return fit_renewal(
-            float(_require(spec, "mean", ctx)), float(_require(spec, "scv", ctx))
-        )
+        return fit_renewal(_mean(spec, ctx), float(_require(spec, "scv", ctx)))
     if dist == "map2":
         return fit_map2(
-            float(_require(spec, "mean", ctx)),
+            _mean(spec, ctx),
             float(_require(spec, "scv", ctx)),
             float(spec.get("gamma2", 0.0)),
         )
@@ -315,37 +325,54 @@ def _routing_from_spec(
     return P, entry, declared
 
 
-def _check_rows_declared(
-    P: np.ndarray,
-    entry: Any,
-    declared: "set[str] | None",
-    names: "list[str]",
-    context: str,
-) -> None:
-    """Every station the open chain can reach must declare a routing row.
+def _open_chain_from_spec(
+    spec: Mapping[str, Any], key: str, names: "list[str]", kind: str
+) -> "tuple[np.ndarray, Any]":
+    """Compile the open chain of an open or mixed spec.
 
-    An absent row would otherwise compile to a zero row — i.e. a silent
-    100% exit to the sink — defeating the "a forgotten exit edge is a
-    compile error, never a silent leak" invariant the per-row sum check
-    enforces for declared rows.  Runs after the *final* entry distribution
-    is known, so the ``entry:``-key form is covered just like a ``source``
-    row; the builder's ``_check_open_rows`` enforces the same invariant on
-    its path.  Reachability comes from the shared
+    ``spec[key]`` is the chain's routing; its entry distribution is the
+    ``source`` row or the spec's ``entry`` key (exactly one of them).
+    Every station the chain can reach must then declare a routing row:
+    an absent row would compile to a zero row, i.e. a silent 100% exit
+    to the sink, so a forgotten exit edge is a compile error, never a
+    silent leak (declared rows are summed in :func:`_routing_from_spec`).
+    Reachability comes from
     :func:`repro.network.routing.open_reachable_stations`.
+
+    Returns
+    -------
+    tuple
+        ``(P, entry)``: the substochastic routing matrix and the entry
+        distribution (a vector, or the ``entry`` key as given).
     """
-    if declared is None:
-        return  # explicit-matrix form: every row is present by construction
     from repro.network.population import resolve_entry
     from repro.network.routing import open_reachable_stations
 
-    entry_vec = resolve_entry(entry, names)
-    for k in sorted(open_reachable_stations(np.asarray(P), entry_vec)):
-        if names[k] not in declared:
+    routing, entry, declared = _routing_from_spec(
+        _require(spec, key, "spec"), names, open_chain=True, context=key
+    )
+    if "entry" in spec:
+        if entry is not None:
             raise ValidationError(
-                f"{context}: station {names[k]!r} is reachable from the "
-                f"source but declares no routing row; route it explicitly "
-                f"(e.g. {names[k]!r}: {{{SINK_NAME}: 1.0}})"
+                f"spec declares both a {SOURCE_NAME!r} {key} row and an "
+                "'entry' key; give the entry distribution once"
             )
+        entry = spec["entry"]
+    elif entry is None:
+        raise ValidationError(
+            f"{kind} spec needs an entry distribution: give a {SOURCE_NAME!r} "
+            f"row in {key} or an 'entry' key"
+        )
+    if declared is not None:  # the explicit-matrix form declares every row
+        reachable = open_reachable_stations(routing, resolve_entry(entry, names))
+        for k in sorted(reachable):
+            if names[k] not in declared:
+                raise ValidationError(
+                    f"{key}: station {names[k]!r} is reachable from the "
+                    "source but declares no routing row; add its sink edge "
+                    f"(e.g. {names[k]!r}: {{{SINK_NAME}: 1.0}})"
+                )
+    return routing, entry
 
 
 def _spec_kind(spec: Mapping[str, Any]) -> str:
@@ -431,43 +458,12 @@ def network_from_spec(spec: Mapping[str, Any]) -> Network:
 
     arrivals = service_from_spec(_require(spec, "arrivals", "spec"))
     if kind == "open":
-        routing, entry, declared = _routing_from_spec(
-            _require(spec, "routing", "spec"), names, open_chain=True
-        )
-        if "entry" in spec:
-            if entry is not None:
-                raise ValidationError(
-                    f"spec declares both a {SOURCE_NAME!r} routing row and "
-                    "an 'entry' key; give the entry distribution once"
-                )
-            entry = spec["entry"]
-        elif entry is None:
-            raise ValidationError(
-                "open spec needs an entry distribution: give a "
-                f"{SOURCE_NAME!r} routing row or an 'entry' key"
-            )
-        _check_rows_declared(routing, entry, declared, names, "routing")
+        routing, entry = _open_chain_from_spec(spec, "routing", names, kind)
         return Network(stations, routing, OpenArrivals(arrivals, entry=entry))
 
     # mixed: primary routing for the closed chain, open_routing for the open
     routing, _, _ = _routing_from_spec(_require(spec, "routing", "spec"), names)
-    open_routing, entry, declared = _routing_from_spec(
-        _require(spec, "open_routing", "spec"), names, open_chain=True,
-        context="open_routing",
-    )
-    if "entry" in spec:
-        if entry is not None:
-            raise ValidationError(
-                f"spec declares both a {SOURCE_NAME!r} open_routing row and "
-                "an 'entry' key; give the entry distribution once"
-            )
-        entry = spec["entry"]
-    elif entry is None:
-        raise ValidationError(
-            "mixed spec needs an entry distribution: give a "
-            f"{SOURCE_NAME!r} row in open_routing or an 'entry' key"
-        )
-    _check_rows_declared(open_routing, entry, declared, names, "open_routing")
+    open_routing, entry = _open_chain_from_spec(spec, "open_routing", names, kind)
     population = Mixed(
         Closed(int(_require(spec, "population", "spec"))),
         OpenArrivals(arrivals, entry=entry),

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.markov.ctmc import steady_state_ctmc
 from repro.markov.uniformization import DEFAULT_SERIES_TOL, UniformizedOperator
-from repro.network.exact import generator_for
+from repro.network.exact import DENSE_MAX_STATES, generator_for
 from repro.network.model import Network, require_closed
 from repro.network.statespace import NetworkStateSpace
 from repro.transient.engine import transient_grid
@@ -172,7 +172,7 @@ def transient_trajectories(
     tol: float = DEFAULT_SERIES_TOL,
     engine: str = "auto",
     accumulate: bool = False,
-    max_states: int = 2_000_000,
+    max_states: int = DENSE_MAX_STATES,
     backend: str = "dense",
 ) -> TransientTrajectory:
     """Solve the network's transient CTMC and project station metrics.

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.core.bounds import Interval
 from repro.markov.uniformization import DEFAULT_SERIES_TOL
+from repro.network.exact import DENSE_MAX_STATES
 from repro.network.model import Network, require_closed
 from repro.transient.metrics import transient_trajectories
 from repro.transient.result import TransientResult
@@ -80,7 +81,7 @@ def solve_transient(
     tol: float = DEFAULT_SERIES_TOL,
     engine: str = "auto",
     accumulate: bool = False,
-    max_states: int = 2_000_000,
+    max_states: int = DENSE_MAX_STATES,
     backend: str = "auto",
 ) -> TransientResult:
     """Adapter behind ``registry.solve(network, method="transient", ...)``.

@@ -179,6 +179,20 @@ class TestMillionUsers:
         # Dimension stays tiny: the whole point of the tier.
         assert res.extra["fluid_dim"] < 10
 
+    def test_million_user_solve_replays_from_disk(self, tmp_path):
+        net = get_scenario("stress-large-population").network(
+            population=1_000_000
+        )
+        first = SolverRegistry(cache=ResultCache(directory=tmp_path / "c")).solve(
+            net, "fluid"
+        )
+        replay = SolverRegistry(cache=ResultCache(directory=tmp_path / "c")).solve(
+            net, "fluid"
+        )
+        assert replay.extra["cache_tier"] == "disk"
+        assert isinstance(replay, FluidResult)
+        assert replay.to_dict() == first.to_dict()
+
 
 class TestTrajectories:
     def test_converges_to_the_fixed_point(self, registry, tandem):

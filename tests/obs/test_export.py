@@ -95,3 +95,28 @@ class TestMetricsServer:
             obs.disable()
         assert "repro_live_updates_total" not in before
         assert "repro_live_updates_total 5" in after
+
+    def test_scrape_after_a_parallel_sweep_shows_its_aggregates(self):
+        from repro.runtime import SolverRegistry
+        from repro.runtime.sweep import SweepRunner
+        from repro.scenarios import get_scenario
+
+        populations = [2, 3, 4, 5]
+        obs.enable()
+        try:
+            server = obs.start_metrics_server()
+            try:
+                SweepRunner(
+                    registry=SolverRegistry(cache=None), cache_dir=None
+                ).population_sweep(
+                    get_scenario("fig5-case-study").network(2), populations,
+                    method="lp", workers=2, cache=False,
+                )
+                text = urlopen(f"{server.url}/metrics", timeout=10).read().decode()
+            finally:
+                server.stop()
+        finally:
+            obs.disable()
+        assert f"repro_sweep_completed_points {len(populations)}" in text
+        assert "repro_lp_solves_total" in text
+        assert "# TYPE repro_span_sweep_run_duration_s summary" in text

@@ -113,6 +113,33 @@ class TestAgreementWithDirectSolvers:
         assert x.lower - 1e-7 <= sol_pf.system_throughput(0) <= x.upper + 1e-7
 
 
+class TestReference:
+    """``reference`` names the station whose throughput is the system's."""
+
+    @pytest.mark.parametrize("method", ["aba", "bjb", "decomposition"])
+    def test_reference_scales_by_its_visit_ratio(self, registry, method):
+        from repro.scenarios import get_scenario
+
+        net = get_scenario("fig5-case-study").network(population=4)
+        v1 = float(net.visit_ratios[1])
+        at0 = registry.solve(net, method)
+        at1 = registry.solve(net, method, reference=1)
+        x0, x1 = at0.system_throughput, at1.system_throughput
+        r0, r1 = at0.response_time, at1.response_time
+        assert (x1.lower, x1.upper) == pytest.approx((x0.lower * v1, x0.upper * v1))
+        assert (r1.lower, r1.upper) == pytest.approx((r0.lower / v1, r0.upper / v1))
+        assert at1.throughput == at0.throughput
+
+    def test_aba_brackets_exact_at_every_reference(self, registry):
+        from repro.scenarios import get_scenario
+
+        net = get_scenario("fig5-case-study").network(population=4)
+        for ref in range(net.n_stations):
+            x = registry.solve(net, "exact", reference=ref).system_throughput_point()
+            iv = registry.solve(net, "aba", reference=ref).system_throughput
+            assert iv.lower <= x <= iv.upper
+
+
 class TestCaching:
     def test_hit_replays_result_and_wall_time(self, registry, bursty_tandem):
         first = registry.solve(bursty_tandem, "lp")

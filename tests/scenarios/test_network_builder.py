@@ -53,6 +53,11 @@ class TestStations:
         with pytest.raises(ValidationError):
             NetworkBuilder(2).queue("a")
 
+    @pytest.mark.parametrize("shorthand", [{"mean": 0.0}, {"mean": -1.0}, {"rate": 0.0}])
+    def test_non_positive_shorthand_rejected(self, shorthand):
+        with pytest.raises(ValidationError, match="must be positive"):
+            NetworkBuilder(2).queue("a", **shorthand)
+
     def test_duplicate_names_rejected(self):
         b = NetworkBuilder(2).queue("a", mean=1.0)
         with pytest.raises(ValidationError):

@@ -105,6 +105,42 @@ class TestOpenBuilder:
         with pytest.raises(ValidationError, match="cannot be a link source"):
             b.link("sink", "q")
 
+    def test_custom_pseudo_nodes_still_reserve_the_spec_names(self):
+        """The builder compiles its pseudo-nodes to the spec's reserved
+        ``source``/``sink``, so an open network may not name a station
+        ``sink`` even when its sink pseudo-node is called ``out``."""
+        b = (
+            NetworkBuilder()
+            .source("in", rate=1.0)
+            .queue("q", mean=0.5)
+            .queue("sink", mean=0.5)
+            .sink("out")
+            .link("in", "q").link("q", "out").link("sink", "out")
+        )
+        with pytest.raises(ValidationError, match="reserved"):
+            b.build()
+
+    def test_reserved_name_is_no_alias_for_a_renamed_sink(self):
+        b = (
+            NetworkBuilder()
+            .source("in", rate=1.0)
+            .queue("q", mean=0.5)
+            .sink("out")
+            .link("in", "q").link("q", "sink")
+        )
+        with pytest.raises(ValidationError, match="reserved"):
+            b.build()
+
+    def test_closed_network_may_name_stations_source_and_sink(self):
+        net = (
+            NetworkBuilder(2)
+            .queue("source", mean=1.0)
+            .queue("sink", mean=2.0)
+            .cycle("source", "sink")
+            .build()
+        )
+        assert [st.name for st in net.stations] == ["source", "sink"]
+
     def test_station_name_collision_with_pseudo_node(self):
         b = NetworkBuilder().source("in", rate=1.0)
         with pytest.raises(ValidationError, match="collides"):

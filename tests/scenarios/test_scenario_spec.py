@@ -77,6 +77,23 @@ class TestServiceSpecs:
         assert m.mean == pytest.approx(1.0, rel=1e-6)
         assert m.scv == pytest.approx(0.5, rel=1e-4)
 
+    @pytest.mark.parametrize("mean", [0, -1])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"dist": "exponential"},
+            {"dist": "erlang", "k": 3},
+            {"dist": "hyperexp", "scv": 4.0},
+            {"dist": "renewal", "scv": 0.5},
+            {"dist": "map2", "scv": 16.0, "gamma2": 0.5},
+        ],
+        ids=lambda spec: spec["dist"],
+    )
+    def test_non_positive_mean_rejected(self, spec, mean):
+        """A zero mean is a ValidationError, never a ZeroDivisionError."""
+        with pytest.raises(ValidationError, match="mean must be positive"):
+            service_from_spec({**spec, "mean": mean})
+
     def test_unknown_dist_rejected(self):
         with pytest.raises(ValidationError, match="unknown service dist"):
             service_from_spec({"dist": "zipf", "mean": 1.0})

@@ -1,5 +1,7 @@
 """The ``python -m repro.scenarios validate`` subcommand."""
 
+import json
+
 import pytest
 
 from repro.scenarios.cli import main
@@ -86,6 +88,14 @@ routing:
         bad = OPEN_YAML.replace("q1: {q2: 1.0}", "q1: {q2: 0.5}")
         assert main(["validate", _write(tmp_path, bad)]) == 1
         assert "INVALID" in capsys.readouterr().err
+
+    def test_zero_mean_fails_as_a_validation_error(self, tmp_path, capsys):
+        path = _write(tmp_path, CLOSED_YAML.replace("mean: 0.5", "mean: 0"))
+        assert main(["validate", path]) == 1
+        err = capsys.readouterr().err
+        assert "INVALID" in err and "mean must be positive" in err
+        assert main(["validate", "--json", path]) == 1
+        assert json.loads(capsys.readouterr().out)["error_type"] == "ValidationError"
 
     def test_inline_yaml_accepted(self, capsys):
         assert main(["validate", CLOSED_YAML]) == 0

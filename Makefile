@@ -2,10 +2,25 @@
 
 PYTHON ?= python
 
-.PHONY: test lint docs docs-serve bench bench-large bench-transient bench-fluid bench-fluid-large bench-kron bench-kron-large smoke-kron clean
+.PHONY: test lp-goldens lint docs docs-serve bench bench-large bench-transient bench-fluid bench-fluid-large bench-kron bench-kron-large smoke-kron clean
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The LP goldens pin bounds bit for bit on the HiGHS build they were
+# recorded with (scipy 1.17.1's vendored copy) and skip on any other;
+# with them runs the check that every derived throughput bound equals
+# the solved one.  Fails if any of these tests skips, so run it on
+# scipy 1.17.1 (the CI lp-goldens job does).
+LP_GOLDEN_TESTS = tests/runtime/test_lp_golden.py tests/runtime/test_lp_throughput.py
+
+lp-goldens:
+	@out=$$($(PYTHON) -m pytest $(LP_GOLDEN_TESTS) -rs); status=$$?; \
+	echo "$$out"; \
+	if [ $$status -ne 0 ]; then exit $$status; fi; \
+	if echo "$$out" | grep -qiE "skipped"; then \
+		echo "an LP golden test skipped: run on scipy 1.17.1" >&2; exit 1; \
+	fi
 
 lint:
 	ruff check src tests benchmarks examples docs

@@ -113,7 +113,10 @@ def solve_bounds(
     include_redundant: bool = False,
     triples: bool | None = None,
 ) -> BoundsResult:
-    """Bounds on the standard metric set (one constraint assembly, 6M LPs).
+    """Bounds on the standard metric set (one constraint assembly, 4M LPs).
+
+    Each station's throughput is its utilization (a queue) or mean queue
+    length (a delay) interval times its service rate, not an LP of its own.
 
     Parameters
     ----------

@@ -1,8 +1,10 @@
 """The LP solve engines: one persistent HiGHS model per constraint system.
 
 Every bound of the paper's method is a min and a max LP over the same
-marginal-balance polytope, and a standard-metric sweep asks ``2 * n_metrics``
-of them per model.  Two engines answer those solves, with one interface,
+marginal-balance polytope, and a standard-metric sweep asks ``4M`` of them
+per model (utilization and mean queue length of each of the ``M``
+stations; the throughputs follow from those).  Two engines answer those
+solves, with one interface,
 ``solve(c, sense, start=None) -> LPRunInfo``:
 
 ``PersistentLP``

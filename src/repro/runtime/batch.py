@@ -12,8 +12,12 @@ array, and the HiGHS method choice.  Dense metric coefficient vectors are
 built once per canonical metric spec and reused across min/max senses (and
 across repeated :meth:`BatchLPSolver.bound_specs` calls), so a full
 standard-metric sweep performs exactly one constraint assembly, one anchor
-solve and ``2 * n_metrics`` bound solves (system throughput shares the
-reference station's pair) with no redundant re-densification.
+solve and ``4M`` bound solves with no redundant re-densification.  No
+throughput is solved: over the whole polytope a queue's throughput is its
+utilization over its mean service time (the utilization law) and an
+exponential delay's is its mean queue length over its think time
+(Little's law), so each throughput interval is a solved one scaled by the
+station's service rate, and system throughput is the reference station's.
 
 Constraint assembly routes through the vectorized block kernel and its
 per-topology :class:`~repro.core.assembly.AssemblyCache` (the process-wide
@@ -52,7 +56,7 @@ nest under the caller's span (``obs.use(..., parent=)``).
 Metric requests use compact string specs::
 
     "utilization[2]"       bound U of station 2
-    "throughput"           bound X of every station
+    "throughput"           X of every station: U / S (queue), E[n] / Z (delay)
     "queue_length[0]"      bound E[n_0]
     "system_throughput"    the reference station's throughput interval
     "response_time"        derived from system throughput via Little's law
@@ -75,8 +79,6 @@ from repro.core.lpbackend import LPRunInfo, make_lp_engine
 from repro.core.objectives import (
     LinearMetric,
     queue_length_metric,
-    system_throughput_metric,
-    throughput_metric,
     utilization_metric,
 )
 from repro.core.variables import VariableIndex
@@ -86,6 +88,11 @@ __all__ = ["BatchLPSolver", "expand_metric_specs"]
 
 _STATION_METRICS = ("utilization", "throughput", "queue_length")
 _SCALAR_METRICS = ("system_throughput", "response_time")
+
+#: station kind -> the solved metric its throughput is a multiple of at
+#: every point of the polytope: ``X = U / S`` at a single-server queue,
+#: ``X = E[n] / Z`` at an exponential delay (the LP takes no other kind)
+_THROUGHPUT_SOURCE = {"queue": "utilization", "delay": "queue_length"}
 
 
 #: processes splitting this one's cores: the worker count of the parallel
@@ -304,49 +311,58 @@ class BatchLPSolver:
             self.n_warm_starts += info.warm
 
     # ------------------------------------------------------------------ #
-    def _metric_for(self, spec: str, reference: int) -> LinearMetric:
-        if spec == "system_throughput":
-            return system_throughput_metric(self.network, self.vi, reference)
-        name, _, rest = spec.partition("[")
-        k = int(rest[:-1])
-        builder = {
-            "utilization": utilization_metric,
-            "throughput": throughput_metric,
-            "queue_length": queue_length_metric,
-        }[name]
-        return builder(self.network, self.vi, k)
-
-    def _dense_for(self, spec: str, reference: int) -> tuple[LinearMetric, np.ndarray]:
-        """(metric, dense coefficients) for a spec, densified exactly once."""
-        key = f"{spec}@{reference}" if spec == "system_throughput" else spec
-        hit = self._dense_cache.get(key)
+    def _dense_for(self, spec: str) -> tuple[LinearMetric, np.ndarray]:
+        """(metric, dense coefficients) of a solved ``utilization[k]`` or
+        ``queue_length[k]`` spec, densified exactly once."""
+        hit = self._dense_cache.get(spec)
         if hit is None:
-            metric = self._metric_for(spec, reference)
+            name, _, rest = spec.partition("[")
+            builder = {
+                "utilization": utilization_metric,
+                "queue_length": queue_length_metric,
+            }[name]
+            metric = builder(self.network, self.vi, int(rest[:-1]))
             hit = (metric, metric.dense(self.system.n_variables))
-            self._dense_cache[key] = hit
+            self._dense_cache[spec] = hit
         return hit
+
+    def _source(self, spec: str, reference: int) -> tuple[str, float]:
+        """``(solved spec, rate)``, ``spec``'s interval being the solved
+        one's times ``rate``: for a throughput, its station's utilization
+        (a queue) or mean queue length (a delay) and ``1 / S_k``; for any
+        other spec, the spec itself and 1."""
+        if spec == "system_throughput":
+            spec = f"throughput[{reference}]"
+        name, _, rest = spec.partition("[")
+        if name != "throughput":
+            return spec, 1.0
+        k = int(rest[:-1])
+        st = self.network.stations[k]
+        return f"{_THROUGHPUT_SOURCE[st.kind]}[{k}]", 1.0 / st.mean_service_time
 
     def bound_specs(
         self, specs="standard", reference: int = 0
     ) -> dict[str, Interval]:
         """Bound every requested metric; returns canonical-spec -> Interval.
 
-        The min/max pairs run concurrently (:meth:`_run_pairs`); bounds
-        and counters equal a one-thread run bit for bit.  System
-        throughput is the reference station's throughput under another
-        name (the same LP), so when both are asked it is solved once.
+        Only utilization and queue-length pairs are solved; every
+        throughput follows from one of them (:meth:`_source`), so a
+        standard request solves ``2M`` pairs.  The pairs run concurrently
+        (:meth:`_run_pairs`); bounds and counters equal a one-thread run
+        bit for bit.
         """
         expanded = expand_metric_specs(specs, self.network.n_stations)
-        x_ref = f"throughput[{reference}]"
-        solved = [
-            spec for spec in expanded
+        source = {
+            spec: self._source(spec, reference)
+            for spec in expanded
             if spec != "response_time"
-            and not (spec == "system_throughput" and x_ref in expanded)
-        ]
-        pairs = [self._dense_for(spec, reference) for spec in solved]
-        out = dict(zip(solved, self._run_pairs(pairs)))
-        if "system_throughput" in expanded and "system_throughput" not in out:
-            out["system_throughput"] = out[x_ref]
+        }
+        solved = list(dict.fromkeys(src for src, _ in source.values()))
+        got = dict(zip(solved, self._run_pairs([self._dense_for(s) for s in solved])))
+        out = {
+            spec: Interval(lower=got[src].lower * rate, upper=got[src].upper * rate)
+            for spec, (src, rate) in source.items()
+        }
         if "response_time" in expanded:
             x = out["system_throughput"]
             N = self.network.population

@@ -37,8 +37,14 @@ SCHEMA_VERSION = 1
 #: Per-method algorithm version, mixed into that method's solve keys only.
 #: A method absent here keys exactly as before it was ever listed.
 #: ``sim`` 2: per-station child streams, block-drawn variates.
-#: ``lp`` 2: simplex bounds start from the solver's anchor basis.
-ALGORITHM_VERSION: dict[str, int] = {"sim": 2, "lp": 2}
+#: ``lp`` 2: simplex bounds start from the solver's anchor basis; 3: every
+#: throughput interval is a utilization or queue-length interval times the
+#: station's service rate.
+#: ``aba``, ``bjb``, ``decomposition`` 2: ``reference`` is honoured (version
+#: 1 answered every reference with reference 0's system throughput).
+ALGORITHM_VERSION: dict[str, int] = {
+    "sim": 2, "lp": 3, "aba": 2, "bjb": 2, "decomposition": 2,
+}
 
 
 class FingerprintError(TypeError):

@@ -560,7 +560,12 @@ def _solve_bjb(network: Network, reference: int = 0) -> SolveResult:
         qlen,
         x,
         Interval(lower=N / x.upper, upper=N / x.lower),
-        extra={"certified": True, "first_moment_only": True},
+        extra={
+            # balanced job bounds hold for product-form networks: with
+            # multi-phase (MAP) service they can miss the exact answer
+            "certified": all(st.phases == 1 for st in network.stations),
+            "first_moment_only": True,
+        },
     )
 
 

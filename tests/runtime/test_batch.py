@@ -71,9 +71,9 @@ class TestBatchBounds:
     def test_single_assembly_shared_across_solves(self, net):
         solver = BatchLPSolver(net)
         out = solver.bound_specs("standard")
-        # 3 station metrics * 2 stations = 6 pairs; system throughput is
-        # throughput[0] under another name, solved once
-        assert solver.n_solves == 12
+        # U and Q of 2 stations = 4 pairs; every throughput follows from
+        # its station's utilization, and system throughput is throughput[0]
+        assert solver.n_solves == 8
         assert out["system_throughput"] == out["throughput[0]"]
         assert solver.build_time_s > 0
         assert solver.solve_time_s > 0
@@ -90,8 +90,8 @@ class TestBatchBounds:
 
     def test_bound_and_optimize_match_bound_specs(self, net):
         solver = BatchLPSolver(net)
-        want = solver.bound_specs(("throughput[0]",))["throughput[0]"]
-        metric, _ = solver._dense_for("throughput[0]", 0)
+        want = solver.bound_specs(("utilization[0]",))["utilization[0]"]
+        metric, _ = solver._dense_for("utilization[0]")
         assert solver.bound(metric) == want  # the same pair function
         assert (solver.n_solves, solver.n_basis_reuse) == (4, 2 * (solver.backend == "highs"))
 
@@ -117,7 +117,7 @@ class TestPersistentBackend:
 
     def test_pair_reuse_counted(self, net):
         solver = BatchLPSolver(net, backend="highs")
-        solver.bound_specs(("system_throughput", "utilization[0]"))
+        solver.bound_specs(("system_throughput", "utilization[1]"))
         assert solver.n_solves == 4
         # each min starts from the anchor, each max from its min's optimum
         assert solver.n_warm_starts == 2
@@ -201,7 +201,7 @@ class TestPairPool:
             solver.bound_specs("standard")
         (root,) = tele.roots
         names = [c.name for c in root.children]
-        assert names.count("lp.solve") == solver.n_solves == 12
+        assert names.count("lp.solve") == solver.n_solves == 8
         assert names.count("lp.anchor") == int(solver.backend == "highs")
         counters = tele.snapshot().counters
         assert counters["lp.solves"] == solver.n_solves
@@ -246,7 +246,6 @@ class TestPairPool:
 
         monkeypatch.setattr(scipy.optimize, "linprog", linprog)
         solver = BatchLPSolver(net, backend="scipy")
-        specs = expand_metric_specs("standard", net.n_stations)
         before = threading.active_count()
         obs.enable_flight_recorder(directory=tmp_path)
         try:
@@ -255,9 +254,11 @@ class TestPairPool:
         finally:
             obs.disable_flight_recorder()
         assert threading.active_count() == before
-        # the first failing pair in spec order, its dump written off-thread
-        order = [solver._dense_for(spec, 0)[0].name for spec in specs
-                 if spec != "response_time"]
+        # the first failing pair in solve order (U, then Q, of every
+        # station), its dump written off-thread
+        order = [solver._dense_for(f"{name}[{k}]")[0].name
+                 for name in ("utilization", "queue_length")
+                 for k in range(net.n_stations)]
         first = min(workers_first, key=order.index)
         assert excinfo.value is workers_first[first]
         assert excinfo.value.trace_path is not None

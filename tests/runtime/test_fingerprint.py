@@ -131,6 +131,27 @@ class TestAlgorithmVersion:
             "61a8845f8ab33a6d5b12f0660044bb7ea4917b73b926bd6fdcd35787eb08957f"
         )
 
+    def test_baseline_entries_before_the_reference_fix_retired(
+        self, tmp_path, monkeypatch
+    ):
+        """``aba``, ``bjb`` and ``decomposition`` 2 miss what version 1 wrote
+        (reference 0's answer at every ``reference``); ``mva`` and ``exact``
+        entries written alongside still hit."""
+        version_1 = "be226ae42a305cb2b0dc4d0c2077247cce1b75eb173effe2a53f2a25e47087da"
+        assert fingerprint_solve(tandem(), "aba", {"reference": 1}) != version_1
+        baselines = ("aba", "bjb", "decomposition")
+        with monkeypatch.context() as mp:
+            for method in baselines:
+                mp.delitem(fingerprint_mod.ALGORITHM_VERSION, method)
+            assert fingerprint_solve(tandem(), "aba", {"reference": 1}) == version_1
+            old = SolverRegistry(cache=ResultCache(directory=tmp_path))
+            for method in (*baselines, "mva", "exact"):
+                old.solve(tandem(), method, reference=1)
+        new = SolverRegistry(cache=ResultCache(directory=tmp_path))
+        for method in (*baselines, "mva", "exact"):
+            hit = new.solve(tandem(), method, reference=1).from_cache
+            assert hit == (method not in baselines), method
+
     def test_lp_keys_of_cold_simplex_retired(self):
         """``lp`` 2 moves the key the version-1 (cold simplex) answers had."""
         assert fingerprint_solve(tandem(), "lp", {"triples": False}) != (

@@ -24,7 +24,8 @@ pytestmark = pytest.mark.skipif(
 
 POPULATIONS = (3, 4, 5, 6)
 METRICS = ("throughput[0]", "queue_length[1]", "system_throughput")
-#: min/max pairs solved per point: system throughput copies throughput[0]
+#: min/max pairs solved per point: throughput[0] and system throughput
+#: both follow from the utilization[0] pair
 PAIRS = len(METRICS) - 1
 
 

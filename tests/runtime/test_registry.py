@@ -109,8 +109,19 @@ class TestAgreementWithDirectSolvers:
             x = res.system_throughput
             assert x.lower - 1e-7 <= sol.system_throughput(0) <= x.upper + 1e-7
         sol_pf = solve_exact(exp_tandem)
-        x = registry.solve(exp_tandem, "bjb").system_throughput
+        bjb = registry.solve(exp_tandem, "bjb")
+        x = bjb.system_throughput
         assert x.lower - 1e-7 <= sol_pf.system_throughput(0) <= x.upper + 1e-7
+        assert bjb.extra["certified"] is True
+
+    def test_bjb_not_certified_with_multi_phase_service(self, registry):
+        from repro.scenarios import get_scenario
+
+        net = get_scenario("fig5-case-study").network(population=4)  # one MAP(2)
+        res = registry.solve(net, "bjb")
+        x = registry.solve(net, "exact").system_throughput_point()
+        assert not res.system_throughput.contains(x)  # [1.1765, 1.25] vs 1.0622
+        assert res.extra["certified"] is False
 
 
 class TestReference:

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lp-goldens lint docs docs-serve bench bench-large bench-transient bench-fluid bench-fluid-large bench-kron bench-kron-large smoke-kron clean
+.PHONY: test lp-goldens perfbench-test baselines lint docs docs-serve bench bench-large bench-transient bench-fluid bench-fluid-large bench-kron bench-kron-large smoke-kron clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -21,6 +21,19 @@ lp-goldens:
 	if echo "$$out" | grep -qiE "skipped"; then \
 		echo "an LP golden test skipped: run on scipy 1.17.1" >&2; exit 1; \
 	fi
+
+# The repository benchmark's self-test (outside tier-1's testpaths): a
+# tiny pass of each perfbench workload, with the traced re-drive checked
+# against the registry.  Run it after touching any layer the re-drive
+# repeats (LP, CTMC, transient, sim).
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
+
+# Gate every BENCH_*.json in the repo root, the committed baselines and
+# any fresh quick artifacts, with the sentinel invariants; fails on a
+# failed gate or when no artifact is found.
+baselines:
+	$(PYTHON) -m repro.obs sentinel baseline
 
 lint:
 	ruff check src tests benchmarks examples docs

@@ -11,14 +11,7 @@ or metric-by-metric with :func:`bound_metric` and the objective builders in
 """
 
 from repro.core.variables import VariableIndex
-from repro.core.assembly import (
-    AssemblyCache,
-    AssemblyPlan,
-    assemble,
-    canonical_form,
-    get_assembly_cache,
-    topology_key,
-)
+from repro.core.assembly import canonical_form
 from repro.core.constraints import (
     ConstraintSystem,
     build_constraints,
@@ -44,15 +37,10 @@ from repro.core.projection import project_exact_solution, verify_exactness
 
 __all__ = [
     "VariableIndex",
-    "AssemblyCache",
-    "AssemblyPlan",
     "ConstraintSystem",
-    "assemble",
     "build_constraints",
     "build_constraints_reference",
     "canonical_form",
-    "get_assembly_cache",
-    "topology_key",
     "LinearMetric",
     "throughput_metric",
     "utilization_metric",

@@ -1,16 +1,16 @@
 """Vectorized block assembly of the marginal-balance LP.
 
-This module is the performance kernel behind :func:`build_constraints`:
-instead of emitting the constraint matrix row by row (the seed
-implementation, preserved verbatim in
-:mod:`repro.core.assembly_reference`), every constraint family computes its
-full COO ``(rows, cols, vals)`` arrays in one shot with numpy broadcasting
-over ``(a, n, h)`` index grids.  The two implementations produce the *same
-polytope, bit for bit*: identical rows (up to row order), identical labels,
-identical right-hand sides — machine-checked by
-``tests/core/test_assembly_equivalence.py`` on every catalog scenario.
+:func:`build_constraints` is the one way the LP's polytope is built.
+Instead of emitting the constraint matrix row by row (the seed
+implementation, preserved verbatim in :mod:`repro.core.assembly_reference`),
+every constraint family computes its full COO ``(rows, cols, vals)`` arrays
+in one shot with numpy broadcasting over ``(a, n, h)`` index grids.  The two
+implementations produce the *same polytope, bit for bit*: identical rows (up
+to row order), identical labels, identical right-hand sides —
+machine-checked by ``tests/core/test_assembly_equivalence.py`` on every
+catalog scenario.
 
-Three layers:
+Two layers:
 
 ``_BlockBuilder`` / ``LazyLabels``
     COO accumulation in family-sized blocks.  Row labels are kept as
@@ -18,48 +18,32 @@ Three layers:
     strings are debugging metadata and must not cost anything on the hot
     path.
 
-``AssemblyPlan``
-    The per-*topology* precomputation: station matrices, per-family phase
-    patterns (phase exit rates, phase-change matrices, routing factors,
-    source/pair/triple lists, family-H eligibility).  None of it depends on
-    the population ``N``, so one plan serves every point of a population
-    sweep; :meth:`AssemblyPlan.assemble` re-materializes only the
-    N-dependent slices (index grids, level scalings, population couplings,
-    bounds).
-
-``AssemblyCache``
-    A small keyed store of plans, keyed by the topology fingerprint
-    (station matrices + routing + constraint tier).  The process-wide
-    default (:func:`get_assembly_cache`) is what
-    :class:`~repro.runtime.batch.BatchLPSolver` — and therefore the solver
-    registry and every sweep worker — routes through, so a population
-    sweep computes the block patterns exactly once per topology.
+``_Assembler``
+    One call's assembly.  It first derives the phase patterns the
+    families share (phase exit rates, phase-change matrices, routing
+    factors, source/pair/triple lists, family-H eligibility), none of
+    which depends on the population ``N``, then emits every family at
+    ``network.population``.  The patterns cost about 1% of an assembly
+    or less, so no call keeps them for the next.
 """
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro import obs
 from repro.core.variables import VariableIndex
-from repro.network.model import Network
+from repro.network.model import Network, require_closed
 from repro.utils.errors import NotSupportedError
 
 __all__ = [
-    "AssemblyCache",
-    "AssemblyPlan",
     "ConstraintSystem",
     "LazyLabels",
-    "assemble",
+    "build_constraints",
     "canonical_form",
-    "get_assembly_cache",
-    "topology_key",
 ]
 
 
@@ -288,29 +272,38 @@ class _BlockBuilder:
 
 
 # ---------------------------------------------------------------------- #
-# topology keying
+# the one assembly path
 # ---------------------------------------------------------------------- #
-def topology_key(
+def build_constraints(
     network: Network,
-    triples: "bool | None" = None,
+    vi: VariableIndex | None = None,
     include_redundant: bool = False,
-) -> str:
-    """Digest of everything the block patterns depend on, *except* ``N``.
+    triples: bool | None = None,
+) -> ConstraintSystem:
+    """Assemble all exact constraint families for ``network``.
 
-    Two networks share a key iff they differ only in population — the
-    assembly-cache contract: one :class:`AssemblyPlan` serves every point
-    of a population sweep.
+    Parameters
+    ----------
+    network:
+        The closed MAP network (queue/delay stations only).
+    vi:
+        Optional pre-built variable index.  It fixes the constraint tier
+        when ``triples`` is ``None``; an index of another tier than
+        ``triples`` asks for raises ``ValueError``.
+    include_redundant:
+        Also emit families B and F, which are linear combinations of A + C.
+        They do not change the polytope; exposed for ablation experiments.
+    triples:
+        Enable the triple-variable tier (families H/SC/TC).  ``None`` means
+        automatic (on for M >= 3); ``False`` gives the cheaper pair-only
+        relaxation used by the constraint-ablation benchmark.
     """
-    h = hashlib.sha256()
-    resolved = _resolve_triples(network, triples)
-    h.update(f"v1|M={network.n_stations}|t={int(resolved)}"
-             f"|r={int(include_redundant)}|".encode())
-    for st in network.stations:
-        h.update(f"{st.kind}|{st.servers}|{st.phases}|".encode())
-        h.update(np.ascontiguousarray(st.service.D0, dtype=float).tobytes())
-        h.update(np.ascontiguousarray(st.service.D1, dtype=float).tobytes())
-    h.update(np.ascontiguousarray(network.routing, dtype=float).tobytes())
-    return h.hexdigest()
+    require_closed(network, "lp")
+    if vi is not None and triples is None:
+        # A pre-built index fixes the constraint tier (seed semantics:
+        # the families consult vi.triples, not the keyword).
+        triples = vi.triples
+    return _Assembler(network, vi, triples, include_redundant).run()
 
 
 def _resolve_triples(network: Network, triples: "bool | None") -> bool:
@@ -318,9 +311,6 @@ def _resolve_triples(network: Network, triples: "bool | None") -> bool:
     return (M >= 3) if triples is None else (bool(triples) and M >= 3)
 
 
-# ---------------------------------------------------------------------- #
-# the per-topology plan
-# ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class _StationPattern:
     """N-independent per-station data used by the family emitters."""
@@ -334,21 +324,22 @@ class _StationPattern:
     mu: float            # D1[0, 0] (delay stations; 0.0 otherwise)
 
 
-class AssemblyPlan:
-    """Precomputed block patterns of one network topology.
+class _Assembler:
+    """One :func:`build_constraints` call: the patterns, then the families.
 
-    Everything stored here is independent of the population ``N``:
-    station matrices and derived phase-rate vectors, routing factors,
-    source/pair/triple enumeration, the family-A/H phase-transition
-    patterns, and family-H eligibility.  :meth:`assemble` materializes the
-    constraint system for a concrete population.
+    The constructor derives the phase patterns every family reads (station
+    matrices and phase-rate vectors, routing factors, source lists, the
+    family-A/H phase-transition patterns, family-H eligibility) and the
+    per-station level scalings ``c_k(0..N)``; :meth:`run` emits the
+    families at ``network.population``.
     """
 
     def __init__(
         self,
         network: Network,
-        triples: "bool | None" = None,
-        include_redundant: bool = False,
+        vi: "VariableIndex | None",
+        triples: "bool | None",
+        include_redundant: bool,
     ) -> None:
         for st in network.stations:
             if st.kind == "multiserver":
@@ -357,10 +348,14 @@ class AssemblyPlan:
                     "supported by the marginal-balance LP"
                 )
         self.triples = _resolve_triples(network, triples)
+        if vi is not None and vi.triples != self.triples:
+            raise ValueError(
+                f"variable index tier (triples={vi.triples}) does not match "
+                f"the requested tier (triples={self.triples})"
+            )
         self.include_redundant = bool(include_redundant)
-        self.key = topology_key(network, self.triples, self.include_redundant)
-        self.M = network.n_stations
-        self.routing = network.routing
+        self.M = M = network.n_stations
+        self.routing = routing = network.routing
         self.stations: list[_StationPattern] = []
         for st in network.stations:
             D0 = np.asarray(st.service.D0, dtype=float)
@@ -376,8 +371,6 @@ class AssemblyPlan:
                     mu=float(D1[0, 0]) if st.kind == "delay" else 0.0,
                 )
             )
-        M = self.M
-        routing = self.routing
         #: per-destination source stations (arrival flows j -> k)
         self.sources = [
             [j for j in range(M) if j != k and routing[j, k] > 0.0]
@@ -417,50 +410,7 @@ class AssemblyPlan:
                 if feeders and not self.triples:
                     continue
                 self.h_pairs.append((j, k, third))
-
-    # ------------------------------------------------------------------ #
-    def matches(self, network: Network) -> bool:
-        """True when ``network`` shares this plan's topology (any ``N``)."""
-        return (
-            network.n_stations == self.M
-            and topology_key(network, self.triples, self.include_redundant)
-            == self.key
-        )
-
-    def assemble(
-        self, network: Network, vi: "VariableIndex | None" = None
-    ) -> ConstraintSystem:
-        """Materialize the constraint system at ``network.population``.
-
-        The network must share this plan's topology exactly (station
-        matrices, kinds, routing, constraint tier) — a stale plan would
-        silently bake the wrong phase patterns into the LP, so the full
-        topology key is checked, not just the station count.
-        """
-        if not self.matches(network):
-            raise ValueError(
-                "network does not match this assembly plan's topology "
-                f"(plan key {self.key[:12]}...)"
-            )
-        if vi is not None and vi.triples != self.triples:
-            raise ValueError(
-                f"variable index tier (triples={vi.triples}) does not match "
-                f"this plan (triples={self.triples})"
-            )
-        vi = vi or VariableIndex(network, triples=self.triples)
-        asm = _Assembler(self, network, vi)
-        return asm.run()
-
-
-class _Assembler:
-    """One :meth:`AssemblyPlan.assemble` invocation (per-N state)."""
-
-    def __init__(
-        self, plan: AssemblyPlan, network: Network, vi: VariableIndex
-    ) -> None:
-        self.plan = plan
-        self.net = network
-        self.vi = vi
+        self.vi = vi or VariableIndex(network, triples=self.triples)
         self.N = network.population
         self.eq = _BlockBuilder()
         self.ub = _BlockBuilder()
@@ -477,7 +427,7 @@ class _Assembler:
         against ``local``); ``coeff`` multiplies the per-phase event rate
         (routing probability and sign).
         """
-        sd = self.plan.stations[j]
+        sd = self.stations[j]
         if sd.kind == "queue":
             aa = np.arange(sd.K)
             cols = self.vi.V(j, k, aa, nn[..., None], hh[..., None])
@@ -491,21 +441,21 @@ class _Assembler:
     # -- family emitters ------------------------------------------------ #
     def _family_A(self) -> None:
         N, vi, eq = self.N, self.vi, self.eq
-        routing = self.plan.routing
-        for k in range(self.plan.M):
-            sd = self.plan.stations[k]
+        routing = self.routing
+        for k in range(self.M):
+            sd = self.stations[k]
             Kk = sd.K
             qkk = routing[k, k]
-            sources = self.plan.sources[k]
+            sources = self.sources[k]
             c_k = self.c[k]
             nn = np.arange(N + 1)[:, None]
             hh = np.arange(Kk)[None, :]
             local = nn * Kk + hh  # row-major (n, h) grid
-            own_out = c_k[:, None] * self.plan.w_out[k][None, :]
+            own_out = c_k[:, None] * self.w_out[k][None, :]
             if sources:
                 keep = None  # every row has at least one appended term
             else:
-                phase_any = (self.plan.phase_in[k] != 0.0).any(axis=0)
+                phase_any = (self.phase_in[k] != 0.0).any(axis=0)
                 keep = (
                     (own_out != 0.0)
                     | (nn < N)
@@ -532,7 +482,7 @@ class _Assembler:
                 grp,
                 local[..., None],
                 vi.pi(k, nn[..., None], gg),
-                -c_k[:, None, None] * self.plan.phase_in[k].T[None, :, :],
+                -c_k[:, None, None] * self.phase_in[k].T[None, :, :],
             )
             # IN: from level n-1 via an arrival (rows n >= 1).
             n_hi = np.arange(1, N + 1)[:, None]
@@ -550,12 +500,12 @@ class _Assembler:
 
     def _family_C(self) -> None:
         N, vi, eq = self.N, self.vi, self.eq
-        for j in range(self.plan.M):
-            Kj = self.plan.stations[j].K
-            for k in range(self.plan.M):
+        for j in range(self.M):
+            Kj = self.stations[j].K
+            for k in range(self.M):
                 if j == k:
                     continue
-                Kk = self.plan.stations[k].K
+                Kk = self.stations[k].K
                 nn = np.arange(N + 1)[:, None]
                 hh = np.arange(Kk)[None, :]
                 aa = np.arange(Kj)[None, None, :]
@@ -599,10 +549,10 @@ class _Assembler:
 
     def _family_D(self) -> None:
         N, vi, eq = self.N, self.vi, self.eq
-        for j in range(self.plan.M):
-            for k in range(j + 1, self.plan.M):
-                Kj = self.plan.stations[j].K
-                Kk = self.plan.stations[k].K
+        for j in range(self.M):
+            for k in range(j + 1, self.M):
+                Kj = self.stations[j].K
+                Kk = self.stations[k].K
                 aa = np.arange(Kj)[:, None]
                 hh = np.arange(Kk)[None, :]
                 local = aa * Kk + hh
@@ -639,8 +589,8 @@ class _Assembler:
 
     def _family_E(self) -> None:
         N, vi, eq = self.N, self.vi, self.eq
-        for k in range(self.plan.M):
-            Kk = self.plan.stations[k].K
+        for k in range(self.M):
+            Kk = self.stations[k].K
             nn = np.arange(N + 1)[:, None]
             hh = np.arange(Kk)[None, :]
             grp = eq.rows(1, 1.0, f"E1[k={k}]")
@@ -648,13 +598,13 @@ class _Assembler:
 
     def _family_G(self) -> None:
         N, vi, eq, ub = self.N, self.vi, self.eq, self.ub
-        M = self.plan.M
+        M = self.M
         # G1: sum_{j != k} sum_a G_jk(a, n, h) = (N - n) pi_k(n, h)
         for k in range(M):
             others = [j for j in range(M) if j != k]
             if not others:
                 continue
-            Kk = self.plan.stations[k].K
+            Kk = self.stations[k].K
             nn = np.arange(N + 1)[:, None]
             hh = np.arange(Kk)[None, :]
             local = nn * Kk + hh
@@ -666,7 +616,7 @@ class _Assembler:
                  np.broadcast_to(hh, local.shape)),
             )
             for j in others:
-                aa = np.arange(self.plan.stations[j].K)[None, None, :]
+                aa = np.arange(self.stations[j].K)[None, None, :]
                 eq.entries(
                     grp, local[..., None],
                     vi.G(j, k, aa, nn[..., None], hh[..., None]), 1.0,
@@ -677,7 +627,7 @@ class _Assembler:
             others = [k for k in range(M) if k != j]
             if not others:
                 continue
-            Kj = self.plan.stations[j].K
+            Kj = self.stations[j].K
             a_rows = np.arange(Kj)
             n_pos = np.arange(1, N + 1)[None, :]
             grp2 = eq.rows(Kj, 0.0, f"G2[j={j},a=%d]", (a_rows,))
@@ -687,7 +637,7 @@ class _Assembler:
                 n_pos.astype(float) - float(N),
             )
             for k in others:
-                Kk = self.plan.stations[k].K
+                Kk = self.stations[k].K
                 nn = np.arange(N + 1)[None, :, None]
                 hh = np.arange(Kk)[None, None, :]
                 eq.entries(
@@ -699,7 +649,7 @@ class _Assembler:
             grp3 = eq.rows(Kj, 0.0, f"G3[j={j},a=%d]", (a_rows,))
             eq.entries(grp3, a_rows, vi.pi(j, 0, a_rows), -float(N))
             for k in others:
-                Kk = self.plan.stations[k].K
+                Kk = self.stations[k].K
                 nn = np.arange(N + 1)[None, :, None]
                 hh = np.arange(Kk)[None, None, :]
                 eq.entries(
@@ -709,11 +659,11 @@ class _Assembler:
                 )
         # Sandwich: V <= G <= (N - n) V, per source phase.
         for j in range(M):
-            Kj = self.plan.stations[j].K
+            Kj = self.stations[j].K
             for k in range(M):
                 if j == k:
                     continue
-                Kk = self.plan.stations[k].K
+                Kk = self.stations[k].K
                 nn = np.arange(N + 1)[:, None, None]
                 hh = np.arange(Kk)[None, :, None]
                 aa = np.arange(Kj)[None, None, :]
@@ -742,13 +692,13 @@ class _Assembler:
                 ub.entries(grp, local, v_cols, -(N - nn).astype(float))
         # G4: moment consistency per ordered pair and source phase.
         for j in range(M):
-            Kj = self.plan.stations[j].K
+            Kj = self.stations[j].K
             a_rows = np.arange(Kj)
             n_pos = np.arange(1, N + 1)[None, :]
             for k in range(M):
                 if j == k:
                     continue
-                Kk = self.plan.stations[k].K
+                Kk = self.stations[k].K
                 nn = np.arange(N + 1)[None, :, None]
                 hh = np.arange(Kk)[None, None, :]
                 grp = eq.rows(Kj, 0.0, f"G4[j={j},k={k},a=%d]", (a_rows,))
@@ -764,8 +714,8 @@ class _Assembler:
 
     def _family_triples(self) -> None:
         N, vi, eq, ub = self.N, self.vi, self.eq, self.ub
-        M = self.plan.M
-        K = [sd.K for sd in self.plan.stations]
+        M = self.M
+        K = [sd.K for sd in self.stations]
         for i in range(M):
             for j in range(M):
                 for k in range(M):
@@ -929,10 +879,10 @@ class _Assembler:
 
     def _family_H(self) -> None:
         N, vi, eq = self.N, self.vi, self.eq
-        routing = self.plan.routing
-        for j, k, third in self.plan.h_pairs:
-            sj = self.plan.stations[j]
-            sk = self.plan.stations[k]
+        routing = self.routing
+        for j, k, third in self.h_pairs:
+            sj = self.stations[j]
+            sk = self.stations[k]
             Kj, Kk = sj.K, sk.K
             qkk = routing[k, k]
             p_jj = routing[j, j]
@@ -988,7 +938,7 @@ class _Assembler:
             eq.entries(
                 grp, local4,
                 vi.G(j, k, aa[..., None], nn[..., None], gg),
-                c_k[nn][..., None] * self.plan.phase_in[k].T[hh[..., None], gg],
+                c_k[nn][..., None] * self.phase_in[k].T[hh[..., None], gg],
             )
             n_lo = np.arange(N)[None, :, None]
             loc_lo = ((aa * (N + 1) + n_lo) * Kk + hh)[..., None]
@@ -1005,8 +955,8 @@ class _Assembler:
                 p_ik = routing[i, k]
                 if p_ik <= 0.0:
                     continue
-                e_i = self.plan.stations[i].e
-                eps = np.arange(self.plan.stations[i].K)[None, None, None, :]
+                e_i = self.stations[i].e
+                eps = np.arange(self.stations[i].K)[None, None, None, :]
                 n_hi = np.arange(1, N + 1)[None, :, None]
                 loc_hi = ((aa * (N + 1) + n_hi) * Kk + hh)[..., None]
                 eq.entries(
@@ -1026,8 +976,8 @@ class _Assembler:
                 p_ij = routing[i, j]
                 if p_ij <= 0.0:
                     continue
-                e_i = self.plan.stations[i].e
-                eps = np.arange(self.plan.stations[i].K)[None, None, None, :]
+                e_i = self.stations[i].e
+                eps = np.arange(self.stations[i].K)[None, None, None, :]
                 eq.entries(
                     grp, local4,
                     vi.S(i, j, k, eps, aa[..., None], nn[..., None],
@@ -1037,10 +987,10 @@ class _Assembler:
 
     def _family_redundant(self) -> None:
         N, vi, eq = self.N, self.vi, self.eq
-        routing = self.plan.routing
+        routing = self.routing
         # Family B: phase-aggregated cut balance at each level n >= 1.
-        for k in range(self.plan.M):
-            sd = self.plan.stations[k]
+        for k in range(self.M):
+            sd = self.stations[k]
             Kk = sd.K
             qkk = routing[k, k]
             c_k = self.c[k]
@@ -1049,7 +999,7 @@ class _Assembler:
             nn = n_rows[:, None]
             hh = np.arange(Kk)[None, :]
             local = np.broadcast_to(np.arange(N)[:, None], (N, Kk))
-            for j in self.plan.sources[k]:
+            for j in self.sources[k]:
                 self._source_block(
                     eq, grp, local, j, k, nn - 1, hh, routing[j, k]
                 )
@@ -1059,17 +1009,17 @@ class _Assembler:
             )
         # Family F: throughput flow balance X_k = sum_j p_jk X_j.
         xexprs = []
-        for k in range(self.plan.M):
-            sd = self.plan.stations[k]
+        for k in range(self.M):
+            sd = self.stations[k]
             nn = np.arange(N + 1)[:, None]
             hh = np.arange(sd.K)[None, :]
             cols = np.asarray(vi.pi(k, nn, hh)).ravel()
             vals = (self.c[k][:, None] * sd.e[None, :]).ravel()
             xexprs.append((cols, vals))
-        for k in range(self.plan.M - 1):
+        for k in range(self.M - 1):
             grp = eq.rows(1, 0.0, f"F[k={k}]")
             eq.entries(grp, 0, xexprs[k][0], xexprs[k][1])
-            for j in range(self.plan.M):
+            for j in range(self.M):
                 if routing[j, k] > 0.0:
                     eq.entries(
                         grp, 0, xexprs[j][0], -routing[j, k] * xexprs[j][1]
@@ -1083,10 +1033,10 @@ class _Assembler:
         self._family_D()
         self._family_E()
         self._family_G()
-        if self.plan.triples:
+        if self.triples:
             self._family_triples()
         self._family_H()
-        if self.plan.include_redundant:
+        if self.include_redundant:
             self._family_redundant()
         A_eq, b_eq = self.eq.build(self.vi.size)
         A_ub, b_ub = self.ub.build(self.vi.size)
@@ -1102,95 +1052,6 @@ class _Assembler:
             eq_labels=self.eq.labels,
             ub_labels=self.ub.labels,
         )
-
-
-# ---------------------------------------------------------------------- #
-# the plan cache
-# ---------------------------------------------------------------------- #
-class AssemblyCache:
-    """Keyed LRU store of :class:`AssemblyPlan` objects.
-
-    Plans are small (station matrices plus derived phase patterns), so a
-    handful of topologies fit comfortably; the cache exists to make
-    population sweeps pay the per-topology pattern computation exactly
-    once per process/worker.
-    """
-
-    def __init__(self, maxsize: int = 16) -> None:
-        self.maxsize = int(maxsize)
-        self._plans: "OrderedDict[str, AssemblyPlan]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def plan_for(
-        self,
-        network: Network,
-        triples: "bool | None" = None,
-        include_redundant: bool = False,
-    ) -> AssemblyPlan:
-        """Cached plan for this network's topology (built on miss)."""
-        key = topology_key(network, triples, include_redundant)
-        tele = obs.get_telemetry()
-        plan = self._plans.get(key)
-        if plan is not None:
-            self.hits += 1
-            tele.counter("assembly_cache.hit")
-            self._plans.move_to_end(key)
-            return plan
-        self.misses += 1
-        tele.counter("assembly_cache.miss")
-        plan = AssemblyPlan(
-            network, triples=triples, include_redundant=include_redundant
-        )
-        self._plans[key] = plan
-        while len(self._plans) > self.maxsize:
-            self._plans.popitem(last=False)
-            tele.counter("assembly_cache.eviction")
-        return plan
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def clear(self) -> None:
-        """Drop every cached plan and reset the hit/miss counters."""
-        self._plans.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def stats(self) -> dict:
-        """Hit/miss counters plus current plan count."""
-        return {"hits": self.hits, "misses": self.misses, "plans": len(self)}
-
-
-_default_cache: "AssemblyCache | None" = None
-
-
-def get_assembly_cache() -> AssemblyCache:
-    """The process-wide default assembly cache (created lazily)."""
-    global _default_cache
-    if _default_cache is None:
-        _default_cache = AssemblyCache()
-    return _default_cache
-
-
-def assemble(
-    network: Network,
-    vi: "VariableIndex | None" = None,
-    include_redundant: bool = False,
-    triples: "bool | None" = None,
-    cache: "AssemblyCache | None" = None,
-) -> ConstraintSystem:
-    """Assemble the constraint system through the (default) plan cache.
-
-    Drop-in equivalent of the seed :func:`build_constraints` signature with
-    an extra ``cache`` knob; ``cache=None`` uses the process-wide default
-    (pass a fresh :class:`AssemblyCache` for isolation, e.g. in tests).
-    """
-    cache = cache if cache is not None else get_assembly_cache()
-    plan = cache.plan_for(
-        network, triples=triples, include_redundant=include_redundant
-    )
-    return plan.assemble(network, vi=vi)
 
 
 # ---------------------------------------------------------------------- #

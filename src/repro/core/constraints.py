@@ -34,62 +34,19 @@ conditioned on another station's state needs ``E[min(n_j, s); ...]``, which
 is not a variable of this LP (delay stations are fine — their rate is
 linear in ``n_j``, which is exactly ``G``).
 
-Assembly is performed by the vectorized block kernel in
+:func:`build_constraints` is the vectorized block kernel of
 :mod:`repro.core.assembly` (family-level COO emission over ``(a, n, h)``
-index grids, with per-topology pattern caching); the original row-by-row
-emitter survives as :func:`build_constraints_reference` and the two are
-asserted polytope-identical by ``tests/core/test_assembly_equivalence``.
+index grids), the one way the LP's polytope is built; the original
+row-by-row emitter survives as :func:`build_constraints_reference` and the
+two are asserted polytope-identical by
+``tests/core/test_assembly_equivalence``.
 """
 
-from __future__ import annotations
-
-from repro.core.assembly import AssemblyCache, ConstraintSystem, assemble
+from repro.core.assembly import ConstraintSystem, build_constraints
 from repro.core.assembly_reference import build_constraints_reference
-from repro.core.variables import VariableIndex
-from repro.network.model import Network, require_closed
 
 __all__ = [
     "ConstraintSystem",
     "build_constraints",
     "build_constraints_reference",
 ]
-
-
-def build_constraints(
-    network: Network,
-    vi: VariableIndex | None = None,
-    include_redundant: bool = False,
-    triples: bool | None = None,
-    cache: AssemblyCache | None = None,
-) -> ConstraintSystem:
-    """Assemble all exact constraint families for ``network``.
-
-    Parameters
-    ----------
-    network:
-        The closed MAP network (queue/delay stations only).
-    vi:
-        Optional pre-built variable index.
-    include_redundant:
-        Also emit families B and F, which are linear combinations of A + C.
-        They do not change the polytope; exposed for ablation experiments.
-    triples:
-        Enable the triple-variable tier (families H/SC/TC).  ``None`` means
-        automatic (on for M >= 3); ``False`` gives the cheaper pair-only
-        relaxation used by the constraint-ablation benchmark.
-    cache:
-        The :class:`~repro.core.assembly.AssemblyCache` to look the plan up
-        in; ``None`` uses the process-wide default cache.
-    """
-    require_closed(network, "lp")
-    if vi is not None and triples is None:
-        # A pre-built index fixes the constraint tier (seed semantics:
-        # the families consult vi.triples, not the keyword).
-        triples = vi.triples
-    return assemble(
-        network,
-        vi=vi,
-        include_redundant=include_redundant,
-        triples=triples,
-        cache=cache,
-    )

@@ -42,7 +42,7 @@ from repro.network.routing import (
 from repro.network.stations import Station
 from repro.utils.errors import UnsupportedNetworkError, ValidationError
 
-__all__ = ["Network", "require_closed"]
+__all__ = ["Network", "require_closed", "require_reference"]
 
 
 def _validate_stations(stations) -> tuple[Station, ...]:
@@ -363,3 +363,25 @@ def require_closed(network: Network, method: str) -> None:
     kind = getattr(network, "kind", "closed")
     if kind != "closed":
         raise UnsupportedNetworkError(method, kind)
+
+
+def require_reference(network: Network, reference) -> None:
+    """Guard for a ``reference`` station index.
+
+    Raises
+    ------
+    ValueError
+        When ``reference`` is not an integer in ``[0, M)``.  Every solver
+        that takes a reference station calls this first: a negative index
+        would answer for a station counted from the end, and one past the
+        last station would fail deep inside the solver.
+    """
+    M = network.n_stations
+    if (
+        isinstance(reference, bool)
+        or not isinstance(reference, (int, np.integer))
+        or not 0 <= reference < M
+    ):
+        raise ValueError(
+            f"reference must be a station index in [0, {M}), got {reference!r}"
+        )

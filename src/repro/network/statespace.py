@@ -193,81 +193,67 @@ class NetworkStateSpace:
 
 
 class StateSpaceCache:
-    """Component-wise LRU cache of state-space machinery for sweeps.
+    """LRU cache of state-space components for sweeps, under one budget.
 
     Composition spaces are keyed by ``(N, M)`` and phase layouts by the
     station phase orders, so a population sweep over one topology reuses
     a single :class:`PhaseLayout` (with its digit table and phase masks)
     and only enumerates the new composition set at each point — and a
     second sweep over the same populations pays nothing at all.
+
+    Both kinds share one LRU and one budget, ``max_cached_cells`` int64
+    cells: a composition space counts its ``size * parts`` array, a
+    layout ``2 * n_phase * M`` (its digit table and phase masks, once
+    filled).  An entry over the budget is built and handed out but never
+    retained, and the least recently used entries are evicted until the
+    budget holds — large spaces must not stay pinned for the process
+    lifetime just because they were solvable.
     """
 
-    def __init__(
-        self,
-        max_compositions: int = 8,
-        max_layouts: int = 8,
-        max_cached_cells: int = 4_000_000,
-    ) -> None:
-        self.max_compositions = int(max_compositions)
-        self.max_layouts = int(max_layouts)
-        #: aggregate budget (and per-entry cap) on cached composition-array
-        #: cells (``size * parts`` int64 each) — large spaces must not stay
-        #: pinned for the process lifetime just because they were solvable.
+    def __init__(self, max_cached_cells: int = 4_000_000) -> None:
         self.max_cached_cells = int(max_cached_cells)
-        self._comps: "OrderedDict[tuple[int, int], CompositionSpace]" = OrderedDict()
-        self._layouts: "OrderedDict[tuple[int, ...], PhaseLayout]" = OrderedDict()
+        #: ``("comp", N, M)`` or ``("layout", *orders)`` -> (value, cells)
+        self._store: "OrderedDict[tuple, tuple[object, int]]" = OrderedDict()
+        self._cells = 0
         self.hits = 0
         self.misses = 0
 
-    def _get(self, store, key, build, maxsize):
-        hit = store.get(key)
+    def _get(self, key: tuple, build, cells):
+        tele = obs.get_telemetry()
+        hit = self._store.get(key)
         if hit is not None:
             self.hits += 1
-            obs.get_telemetry().counter("statespace_cache.hit")
-            store.move_to_end(key)
-            return hit
+            tele.counter("statespace_cache.hit")
+            self._store.move_to_end(key)
+            return hit[0]
         self.misses += 1
-        obs.get_telemetry().counter("statespace_cache.miss")
+        tele.counter("statespace_cache.miss")
         value = build()
-        store[key] = value
-        while len(store) > maxsize:
-            store.popitem(last=False)
+        size = cells(value)
+        if size > self.max_cached_cells:
+            return value  # too large to pin — hand it to the caller only
+        self._store[key] = (value, size)
+        self._cells += size
+        while self._cells > self.max_cached_cells:
+            _, (_, dropped) = self._store.popitem(last=False)
+            self._cells -= dropped
         return value
-
-    def _cached_cells(self) -> int:
-        return sum(c.states.size for c in self._comps.values())
 
     def composition_space(self, population: int, parts: int) -> CompositionSpace:
-        """Cached weak-composition enumeration of ``population`` into ``parts``.
-
-        Spaces above ``max_cached_cells`` are built and returned but never
-        retained, and the LRU evicts until the aggregate budget holds —
-        the cache trades memory for sweep speed only at sweepable scales.
-        """
-        key = (int(population), int(parts))
-        hit = self._comps.get(key)
-        if hit is not None:
-            self.hits += 1
-            obs.get_telemetry().counter("statespace_cache.hit")
-            self._comps.move_to_end(key)
-            return hit
-        self.misses += 1
-        obs.get_telemetry().counter("statespace_cache.miss")
-        value = CompositionSpace(population, parts)
-        if value.states.size > self.max_cached_cells:
-            return value  # too large to pin — hand it to the caller only
-        self._comps[key] = value
-        while len(self._comps) > self.max_compositions or (
-            len(self._comps) > 1 and self._cached_cells() > self.max_cached_cells
-        ):
-            self._comps.popitem(last=False)
-        return value
+        """Cached weak-composition enumeration of ``population`` into ``parts``."""
+        return self._get(
+            ("comp", int(population), int(parts)),
+            lambda: CompositionSpace(population, parts),
+            lambda comp: comp.states.size,
+        )
 
     def phase_layout(self, phase_orders) -> PhaseLayout:
         """Cached :class:`PhaseLayout` for the given station phase orders."""
-        key = tuple(int(k) for k in phase_orders)
+        orders = tuple(int(k) for k in phase_orders)
         return self._get(
-            self._layouts, key, lambda: PhaseLayout(key), self.max_layouts
+            ("layout", *orders),
+            lambda: PhaseLayout(orders),
+            lambda layout: 2 * layout.n_phase * len(orders),
         )
 
     def space_for(self, network: Network) -> NetworkStateSpace:
@@ -280,18 +266,19 @@ class StateSpaceCache:
 
     def clear(self) -> None:
         """Drop every cached component and reset the hit/miss counters."""
-        self._comps.clear()
-        self._layouts.clear()
+        self._store.clear()
+        self._cells = 0
         self.hits = 0
         self.misses = 0
 
     def stats(self) -> dict:
         """Hit/miss counters plus current store sizes."""
+        kinds = [key[0] for key in self._store]
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "compositions": len(self._comps),
-            "layouts": len(self._layouts),
+            "compositions": kinds.count("comp"),
+            "layouts": kinds.count("layout"),
         }
 
 
@@ -303,7 +290,7 @@ def get_statespace_cache() -> StateSpaceCache:
 
     :func:`repro.network.exact.generator_for` takes every exact and
     transient space from it; its ``max_cached_cells`` budget alone decides
-    which spaces stay pinned.
+    which compositions and layouts stay pinned.
     """
     global _default_cache
     if _default_cache is None:

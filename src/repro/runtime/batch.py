@@ -8,22 +8,18 @@ population sweeps all solve on it, and :func:`_solve_pair` is where every
 bound's min and max are solved.  It amortizes everything that does not
 depend on the objective across all min/max pairs of a model: the variable
 index, the assembled sparse constraint matrices, the ``(n, 2)`` bound
-array, and the HiGHS method choice.  Dense metric coefficient vectors are
-built once per canonical metric spec and reused across min/max senses (and
-across repeated :meth:`BatchLPSolver.bound_specs` calls), so a full
-standard-metric sweep performs exactly one constraint assembly, one anchor
-solve and ``4M`` bound solves with no redundant re-densification.  No
+array, and the HiGHS method choice.  A request densifies each solved
+metric once and uses the vector for its min and its max, so a full
+standard-metric request performs exactly one constraint assembly, one
+anchor solve and ``4M`` bound solves.  No
 throughput is solved: over the whole polytope a queue's throughput is its
 utilization over its mean service time (the utilization law) and an
 exponential delay's is its mean queue length over its think time
 (Little's law), so each throughput interval is a solved one scaled by the
 station's service rate, and system throughput is the reference station's.
 
-Constraint assembly routes through the vectorized block kernel and its
-per-topology :class:`~repro.core.assembly.AssemblyCache` (the process-wide
-default unless one is injected), so a population sweep over a fixed
-topology computes the phase/routing block patterns exactly once and only
-re-materializes the N-dependent slices at each point.
+The constraint system is :func:`~repro.core.assembly.build_constraints`'s,
+built once per solver; nothing about it is kept between solvers.
 
 Solves run on the engine :func:`repro.core.lpbackend.make_lp_engine`
 picks: the persistent HiGHS model whenever scipy's binding imports
@@ -73,7 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.core.assembly import AssemblyCache, get_assembly_cache
+from repro.core.assembly import build_constraints
 from repro.core.bounds import BoundsResult, Interval
 from repro.core.lpbackend import LPRunInfo, make_lp_engine
 from repro.core.objectives import (
@@ -81,8 +77,7 @@ from repro.core.objectives import (
     queue_length_metric,
     utilization_metric,
 )
-from repro.core.variables import VariableIndex
-from repro.network.model import Network, require_closed
+from repro.network.model import Network, require_closed, require_reference
 
 __all__ = ["BatchLPSolver", "expand_metric_specs"]
 
@@ -236,23 +231,20 @@ class BatchLPSolver:
         include_redundant: bool = False,
         method: str = "auto",
         backend: str = "auto",
-        assembly_cache: AssemblyCache | None = None,
     ) -> None:
         require_closed(network, "lp")
         self.network = network
-        cache = assembly_cache if assembly_cache is not None else get_assembly_cache()
         with obs.get_telemetry().span("lp.assembly") as span:
             t0 = obs.clock()
-            plan_misses = cache.misses
-            plan = cache.plan_for(
+            self.system = build_constraints(
                 network, triples=triples, include_redundant=include_redundant
             )
-            self.plan_from_cache = cache.misses == plan_misses
-            self.vi = VariableIndex(network, triples=plan.triples)
-            self.system = plan.assemble(network, vi=self.vi)
             self.build_time_s = obs.clock() - t0
-            span.set("plan_from_cache", self.plan_from_cache)
             span.set("n_variables", int(self.system.n_variables))
+        self.vi = self.system.vi
+        #: always ``False``: no assembly is cached (the ``lp`` payload's
+        #: ``assembly_plan_cached`` key keeps its shape)
+        self.plan_from_cache = False
         self._engine = make_lp_engine(self.system, method, backend)
         #: one engine per pair thread; engine 0 also serves the serial calls
         self._engines = [self._engine]
@@ -267,8 +259,6 @@ class BatchLPSolver:
         self.n_iterations = 0  # simplex + ipm + crossover, anchor included
         #: wall time of the solves (``bound_specs`` pairs overlap on threads)
         self.solve_time_s = 0.0
-        #: canonical metric spec -> (metric, dense coefficient vector)
-        self._dense_cache: dict[str, tuple[LinearMetric, np.ndarray]] = {}
         #: the anchor basis, solved on the first simplex solve (``_anchor``)
         self._anchor_basis = None
         self._anchor_due = self._engine.takes_start
@@ -313,18 +303,14 @@ class BatchLPSolver:
     # ------------------------------------------------------------------ #
     def _dense_for(self, spec: str) -> tuple[LinearMetric, np.ndarray]:
         """(metric, dense coefficients) of a solved ``utilization[k]`` or
-        ``queue_length[k]`` spec, densified exactly once."""
-        hit = self._dense_cache.get(spec)
-        if hit is None:
-            name, _, rest = spec.partition("[")
-            builder = {
-                "utilization": utilization_metric,
-                "queue_length": queue_length_metric,
-            }[name]
-            metric = builder(self.network, self.vi, int(rest[:-1]))
-            hit = (metric, metric.dense(self.system.n_variables))
-            self._dense_cache[spec] = hit
-        return hit
+        ``queue_length[k]`` spec."""
+        name, _, rest = spec.partition("[")
+        builder = {
+            "utilization": utilization_metric,
+            "queue_length": queue_length_metric,
+        }[name]
+        metric = builder(self.network, self.vi, int(rest[:-1]))
+        return metric, metric.dense(self.system.n_variables)
 
     def _source(self, spec: str, reference: int) -> tuple[str, float]:
         """``(solved spec, rate)``, ``spec``'s interval being the solved
@@ -349,8 +335,9 @@ class BatchLPSolver:
         throughput follows from one of them (:meth:`_source`), so a
         standard request solves ``2M`` pairs.  The pairs run concurrently
         (:meth:`_run_pairs`); bounds and counters equal a one-thread run
-        bit for bit.
+        bit for bit.  ``reference`` must be a station index in ``[0, M)``.
         """
+        require_reference(self.network, reference)
         expanded = expand_metric_specs(specs, self.network.n_stations)
         source = {
             spec: self._source(spec, reference)

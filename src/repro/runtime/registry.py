@@ -38,7 +38,7 @@ from repro.baselines.decomposition import decomposition
 from repro.baselines.mva import mva
 from repro.core.bounds import Interval
 from repro.network.exact import DENSE_MAX_STATES, solve_exact
-from repro.network.model import Network, require_closed
+from repro.network.model import Network, require_closed, require_reference
 from repro.qbd.mapmap1 import MapMap1Queue
 from repro.qbd.opennet import solve_open_network
 from repro.runtime.batch import BatchLPSolver
@@ -259,8 +259,7 @@ def _solve_lp(
             "lp_fallbacks": solver.n_fallbacks,
             "lp_warm_starts": solver.n_warm_starts,  # solves from the anchor
             "lp_basis_reuse": solver.n_basis_reuse,  # maxes from their min
-            # population sweeps reuse one cached assembly plan per topology
-            "assembly_plan_cached": solver.plan_from_cache,
+            "assembly_plan_cached": solver.plan_from_cache,  # always False
             "certified": True,
             "backend": solver.backend,
         },
@@ -739,6 +738,8 @@ class SolverRegistry:
                 f"unknown solve method {method!r}; registered: "
                 f"{', '.join(self.methods)}"
             ) from None
+        if "reference" in opts:  # every built-in method takes one
+            require_reference(network, opts["reference"])
 
         tele = obs.get_telemetry()
         with tele.span("registry.solve", method=method) as span:

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    AssemblyCache,
     canonical_form,
     build_constraints,
     build_constraints_reference,
@@ -26,7 +25,6 @@ from repro.core import (
     throughput_metric,
     utilization_metric,
 )
-from repro.core.assembly import AssemblyPlan, topology_key
 from repro.core.lpbackend import make_lp_engine
 from repro.maps import exponential, fit_map2, random_map2
 from repro.network import Network, delay, queue
@@ -59,7 +57,7 @@ def assert_same_polytope(reference, vectorized):
 
 def both_paths(net, **kwargs):
     ref = build_constraints_reference(net, **kwargs)
-    vec = build_constraints(net, cache=AssemblyCache(), **kwargs)
+    vec = build_constraints(net, **kwargs)
     return ref, vec
 
 
@@ -149,7 +147,7 @@ def test_random_network_polytopes_identical(seed, M, N, tier):
 @pytest.mark.parametrize("name", ["fig5-case-study", "bursty-tandem"])
 def test_standard_bounds_match_reference_within_1e_9(name):
     net = get_scenario_registry().get(name).network(population=3)
-    solver = BatchLPSolver(net, assembly_cache=AssemblyCache())
+    solver = BatchLPSolver(net)
     got = solver.standard_bounds()
     # The reference polytope, solved one metric at a time on the stateless
     # engine at the same method: the main solver runs the persistent one
@@ -182,57 +180,16 @@ def test_standard_bounds_match_reference_within_1e_9(name):
 
 
 # ---------------------------------------------------------------------- #
-# plan cache semantics
+# the one assembly path
 # ---------------------------------------------------------------------- #
-def test_plan_reused_across_population_sweep():
-    cache = AssemblyCache()
-    base = get_scenario_registry().get("bursty-tandem").network(population=2)
-    systems = []
-    for n in (2, 3, 5):
-        systems.append(
-            build_constraints(base.with_population(n), cache=cache)
-        )
-    assert cache.stats() == {"hits": 2, "misses": 1, "plans": 1}
-    # each point still assembles its own N-dependent system
-    assert len({s.n_equalities for s in systems}) == 3
-    # and the cached-plan output stays identical to the reference path
-    assert_same_polytope(
-        build_constraints_reference(base.with_population(5)), systems[-1]
-    )
-
-
-def test_topology_key_ignores_population_only():
+def test_no_assembly_cache_argument():
+    # Every call assembles from the network alone: there is no plan cache
+    # to inject, and nothing is kept between calls.
     net = get_scenario_registry().get("fig5-case-study").network(population=3)
-    assert topology_key(net) == topology_key(net.with_population(9))
-    other = get_scenario_registry().get("tpcw").network(population=3)
-    assert topology_key(net) != topology_key(other)
-    assert topology_key(net, triples=False) != topology_key(net, triples=None)
-
-
-def test_plan_rejects_mismatched_station_count():
-    net2 = get_scenario_registry().get("bursty-tandem").network(population=2)
-    net3 = get_scenario_registry().get("fig5-case-study").network(population=2)
-    plan = AssemblyPlan(net2)
-    with pytest.raises(ValueError):
-        plan.assemble(net3)
-
-
-def test_plan_rejects_same_shape_different_topology():
-    # Same M and phase orders but different service rates: a stale plan
-    # would silently produce the wrong LP, so assemble must refuse.
-    reg = get_scenario_registry()
-    net = reg.get("bursty-tandem").network(population=2)
-    other = Network(
-        [queue(st.name, exponential(1.0 / (st.mean_service_time * 2)))
-         if st.phases == 1 else st for st in net.stations],
-        net.routing,
-        2,
-    )
-    plan = AssemblyPlan(net)
-    assert plan.matches(net.with_population(7))
-    assert not plan.matches(other)
-    with pytest.raises(ValueError):
-        plan.assemble(other)
+    with pytest.raises(TypeError):
+        build_constraints(net, cache=None)
+    with pytest.raises(TypeError):
+        BatchLPSolver(net, assembly_cache=None)
 
 
 def test_prebuilt_variable_index_fixes_the_tier():
@@ -242,14 +199,13 @@ def test_prebuilt_variable_index_fixes_the_tier():
 
     net = get_scenario_registry().get("fig5-case-study").network(population=3)
     vi = VariableIndex(net, triples=False)
-    vec = build_constraints(net, vi, cache=AssemblyCache())
+    vec = build_constraints(net, vi)
     ref = build_constraints_reference(net, VariableIndex(net, triples=False))
     assert_same_polytope(ref, vec)
-    # An index of another tier than a fixed plan's is an error, not a
+    # An index of another tier than the requested one is an error, not a
     # silently wrong polytope.
-    plan = AssemblyPlan(net, triples=True)
     with pytest.raises(ValueError):
-        plan.assemble(net, vi=vi)
+        build_constraints(net, vi, triples=True)
 
 
 def test_lazy_labels_behave_like_lists():

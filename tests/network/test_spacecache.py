@@ -109,3 +109,34 @@ def test_registry_exact_sweep_matches_direct_solves(tandem):
         assert res.system_throughput.midpoint == pytest.approx(
             direct.system_throughput(), abs=1e-12
         )
+
+
+def test_composition_over_the_budget_is_handed_out_not_kept():
+    cache = StateSpaceCache(max_cached_cells=20)
+    comp = cache.composition_space(5, 3)  # 21 compositions x 3 parts = 63 cells
+    assert comp.states.shape == (21, 3)
+    assert cache.stats()["compositions"] == 0
+    assert cache.composition_space(5, 3) is not comp  # built again: a miss
+    assert cache.stats()["misses"] == 2
+
+
+def test_layout_over_the_budget_is_handed_out_not_kept():
+    cache = StateSpaceCache(max_cached_cells=20)
+    big = cache.phase_layout((2, 2, 2))  # 2 * 8 phases * 3 stations = 48 cells
+    assert big.n_phase == 8
+    assert cache.stats()["layouts"] == 0
+    assert cache.phase_layout((2, 2, 2)) is not big
+    small = cache.phase_layout((2,))  # 2 * 2 * 1 = 4 cells: kept
+    assert cache.phase_layout((2,)) is small
+    assert cache.stats() == {"hits": 1, "misses": 3, "compositions": 0, "layouts": 1}
+
+
+def test_one_budget_evicts_the_least_recent_entry_of_either_kind():
+    cache = StateSpaceCache(max_cached_cells=20)
+    layout = cache.phase_layout((2, 2))  # 16 cells
+    comp = cache.composition_space(1, 2)  # 2 x 2 = 4 cells: 20 in all, both kept
+    assert cache.stats()["layouts"] == cache.stats()["compositions"] == 1
+    cache.composition_space(2, 2)  # 3 x 2 = 6 more: the layout goes
+    assert cache.stats()["layouts"] == 0
+    assert cache.composition_space(1, 2) is comp
+    assert cache.phase_layout((2, 2)) is not layout

@@ -61,10 +61,6 @@ class TestNonPerturbation:
 
     def test_lp_payload_identical_modulo_timing(self):
         net = bursty_tandem()
-        # Warm the process-wide assembly-plan cache so both runs see the
-        # same plan-cache state (plan_from_cache is run-order, not
-        # telemetry, dependent).
-        SolverRegistry(cache=None).solve(net, "lp")
         off = SolverRegistry(cache=ResultCache(directory=None)).solve(net, "lp")
         with obs.use(obs.Telemetry()):
             on = SolverRegistry(cache=ResultCache(directory=None)).solve(net, "lp")

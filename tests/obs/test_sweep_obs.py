@@ -43,7 +43,7 @@ def _run(method: str, workers: int, **opts):
 
 
 #: Work counters that must be identical whichever executor ran the sweep.
-#: (Cache-locality counters — memory tiers, plan caches — are process-local
+#: (Cache-locality counters — memory tiers, state-space caches — are process-local
 #: by design and excluded; see docs/observability.md.)
 DETERMINISTIC = (
     "registry.cache_miss",

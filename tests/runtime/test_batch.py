@@ -95,6 +95,18 @@ class TestBatchBounds:
         assert solver.bound(metric) == want  # the same pair function
         assert (solver.n_solves, solver.n_basis_reuse) == (4, 2 * (solver.backend == "highs"))
 
+    def test_reference_out_of_range_raises(self, net):
+        solver = BatchLPSolver(net)
+        for ref in (-1, net.n_stations):
+            with pytest.raises(ValueError, match="reference"):
+                solver.bound_specs(("system_throughput",), reference=ref)
+        assert solver.n_solves == 0
+        last = net.n_stations - 1
+        out = solver.bound_specs(("system_throughput",), reference=last)
+        assert out["system_throughput"] == solver.bound_specs(
+            (f"throughput[{last}]",)
+        )[f"throughput[{last}]"]
+
     def test_triples_flag_tightens(self, net):
         wide = BatchLPSolver(net, triples=False).bound_specs(("system_throughput",))
         # two-station networks have no triples; flag must still be accepted

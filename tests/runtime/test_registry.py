@@ -1,5 +1,10 @@
 """SolverRegistry: dispatch for every method, caching semantics, facade."""
 
+import json
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -150,6 +155,32 @@ class TestReference:
             iv = registry.solve(net, "aba", reference=ref).system_throughput
             assert iv.lower <= x <= iv.upper
 
+    @pytest.mark.parametrize("method", SolverRegistry().methods)
+    def test_reference_outside_the_stations_raises(self, registry, method):
+        # Checked once, before the cache lookup: -1 would index from the
+        # last station and M past it.
+        from repro.scenarios import get_scenario
+
+        net = get_scenario("fig5-case-study").network(population=3)
+        for ref in (-1, net.n_stations):
+            with pytest.raises(ValueError, match="reference"):
+                registry.solve(net, method, reference=ref)
+        assert registry.cache_stats()["misses"] == 0
+
+    @pytest.mark.parametrize("method", SolverRegistry().methods)
+    def test_last_station_reference_answers(self, registry, bursty_tandem, method):
+        from repro.scenarios import get_scenario
+
+        # qbd approximates two-station networks only
+        net = (
+            bursty_tandem if method == "qbd"
+            else get_scenario("fig5-case-study").network(population=3)
+        )
+        last = net.n_stations - 1
+        opts = {"rng": 1} if method == "sim" else {}
+        res = registry.solve(net, method, reference=last, **opts)
+        assert res.system_throughput == res.throughput[last]
+
 
 class TestCaching:
     def test_hit_replays_result_and_wall_time(self, registry, bursty_tandem):
@@ -205,6 +236,39 @@ class TestCaching:
         assert not reg.solve(bursty_tandem, "aba").from_cache
         assert not reg.solve(bursty_tandem, "aba").from_cache
         assert reg.cache_stats() == {}
+
+    def test_lp_payload_does_not_depend_on_process_history(self):
+        """A disk entry's bytes are the model's alone: N = 6 solved after
+        N = 5 in this process equals N = 6 solved alone in a fresh one."""
+        from repro.scenarios import get_scenario
+
+        script = textwrap.dedent(
+            """
+            import json
+            from repro.runtime import SolverRegistry
+            from repro.scenarios import get_scenario
+
+            net = get_scenario("fig5-case-study").network(population=6)
+            print(json.dumps(SolverRegistry(cache=None).solve(net, "lp").to_dict()))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        alone = json.loads(proc.stdout.splitlines()[-1])
+
+        fig5 = get_scenario("fig5-case-study")
+        registry = SolverRegistry(cache=None)
+        registry.solve(fig5.network(population=5), "lp")
+        after = json.loads(json.dumps(registry.solve(fig5.network(population=6), "lp").to_dict()))
+
+        def timeless(payload):
+            extra = {k: v for k, v in payload.pop("extra").items() if not k.startswith("t_")}
+            payload.pop("wall_time_s")
+            return {**payload, "extra": extra}
+
+        assert timeless(after) == timeless(alone)
 
 
 class TestPartialMetrics:

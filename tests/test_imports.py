@@ -97,7 +97,6 @@ def test_module_level_imports_are_declared():
 #: Process-wide caches and the one module allowed to construct each.
 CACHE_OWNERS = {
     "StateSpaceCache": "network/statespace.py",
-    "AssemblyCache": "core/assembly.py",
 }
 
 
